@@ -10,6 +10,9 @@ import pytest
 
 from repro.core.analysis.sa_ds import analyze_sa_ds, ieert_pass, initial_ieer_bounds
 from repro.core.analysis.sa_pm import analyze_sa_pm
+from repro.locks import analyze_sa_ds_blocking
+from repro.locks.inject import inject_critical_sections
+from repro.timebase import REL_EPS
 from repro.workload.config import WorkloadConfig
 from repro.workload.examples import example_two
 from repro.workload.generator import generate_system
@@ -66,4 +69,36 @@ def test_ieert_single_pass_throughput(benchmark):
     )
     seeds = initial_ieer_bounds(system)
     bounds = benchmark(lambda: ieert_pass(system, seeds))
-    assert all(bounds[sid] >= seeds[sid] - 1e-9 for sid in seeds)
+    assert all(bounds[sid] >= seeds[sid] - REL_EPS for sid in seeds)
+
+
+def test_sa_ds_heavy_paper_system(benchmark):
+    """Full SA/DS on the (8, 0.9) seed-1 system with a 300-pass budget:
+    the heaviest cell of the paper's grid, which trips the failure
+    cutoff after 16 passes."""
+    system = generate_system(
+        WorkloadConfig(subtasks_per_task=8, utilization=0.9), seed=1
+    )
+    result = benchmark.pedantic(
+        lambda: analyze_sa_ds(system, max_iterations=300),
+        rounds=3,
+        iterations=1,
+    )
+    assert result.failed
+    assert result.iterations == 16
+
+
+def test_sa_ds_blocking_lock_injected_system(benchmark):
+    """Blocking-aware SA/DS on a lock-injected (2, 0.5) system: the
+    deferral fixpoint re-runs SA/DS on one agent-augmented system."""
+    system = inject_critical_sections(
+        generate_system(
+            WorkloadConfig(subtasks_per_task=2, utilization=0.5), seed=1000
+        ),
+        ratio=0.2,
+    )
+    result = benchmark(
+        lambda: analyze_sa_ds_blocking(system, max_iterations=100)
+    )
+    assert system.has_critical_sections
+    assert not result.failed

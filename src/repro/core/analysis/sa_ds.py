@@ -19,6 +19,15 @@ Algorithm SA/DS (Fig. 11) iterates IEERT from the optimistic seed
 (Theorem 2: any positive fixed point is a correct bound) -- or until some
 task's bound exceeds the paper's failure cutoff of 300 periods, in which
 case the bound is reported "for all practical purposes infinite".
+
+Both run on one :class:`~repro.core.analysis.busy_period.CompiledSystem`
+per call.  Passes stay Jacobi -- every pass reads only the previous
+pass's bounds -- so the pass count, and with it the ``max_iterations``
+verdict and a failed result's lower estimates, is that of the textbook
+iteration.  Within that schedule a subtask whose inputs did not change
+since the previous pass (its own jitter, its interferers' jitter; the
+blocking and extra-jitter terms are fixed per call) keeps its previous
+bound without being re-solved: the solve is a pure function of them.
 """
 
 from __future__ import annotations
@@ -26,18 +35,20 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from repro.core.analysis.busy_period import analyze_subtask
+from repro.core.analysis.busy_period import CompiledSystem
 from repro.core.analysis.results import FAILURE_FACTOR, AnalysisResult
 from repro.errors import AnalysisError
 from repro.model.system import System
 from repro.model.task import SubtaskId
 from repro.timebase import FLOAT, REL_EPS, Timebase, get_timebase
 
-__all__ = ["ieert_pass", "analyze_sa_ds", "initial_ieer_bounds"]
+__all__ = ["ieert_pass", "analyze_sa_ds", "initial_ieer_bounds", "sa_ds_compiled"]
 
 #: Convergence tolerance of the outer fixed point, relative to the bound
 #: (float timebase only; the exact timebase converges on equality).
 _CONVERGENCE_RTOL = REL_EPS
+
+_INF = math.inf
 
 
 def initial_ieer_bounds(
@@ -66,16 +77,69 @@ def initial_ieer_bounds(
     }
 
 
-def _jitter_view(
-    system: System, bounds: Mapping[SubtaskId, float]
-) -> dict[SubtaskId, float]:
-    """Release jitter per subtask: its predecessor's IEER bound, 0 for
-    first subtasks (``R_u,0 = 0`` in the paper's notation)."""
-    view: dict[SubtaskId, float] = {}
-    for sid in system.subtask_ids:
-        predecessor = sid.predecessor
-        view[sid] = bounds[predecessor] if predecessor is not None else 0
-    return view
+def _cutoffs(
+    kernel: CompiledSystem, failure_factor: float | None
+) -> list:
+    """Per-subtask failure cutoff ``failure_factor * p_i``, as a kernel
+    threshold (``None``: no cutoff)."""
+    if failure_factor is None:
+        return [None] * len(kernel.sids)
+    factor = kernel.timebase.convert(failure_factor)
+    return [kernel.threshold(factor * kernel.from_kernel(p)) for p in kernel.period]
+
+
+def _pass(
+    kernel: CompiledSystem,
+    bounds: list,
+    blocking: list,
+    extra: list,
+    cutoff: list,
+    previous: list | None = None,
+    dirty: list[bool] | None = None,
+) -> list:
+    """One application of Algorithm IEERT, in kernel units.
+
+    Subtask ``i``'s release jitter is its predecessor's bound (0 for
+    first subtasks); as an interferer it charges that plus ``extra[i]``.
+    With ``dirty`` given, subtasks not marked there return ``previous``.
+    Infinite inputs propagate to infinite bounds.
+    """
+    zero = kernel.to_kernel(0)
+    own = [bounds[p] if p >= 0 else zero for p in kernel.predecessor]
+    charged = [j + x for j, x in zip(own, extra)]
+    any_infinite = _INF in charged or _INF in blocking
+    interferers = kernel.interferers
+    solve = kernel.solve
+    out = []
+    for i in range(len(own)):
+        if dirty is not None and not dirty[i]:
+            out.append(previous[i])
+            continue
+        if any_infinite and (
+            own[i] == _INF
+            or blocking[i] == _INF
+            or any(charged[u] == _INF for u in interferers[i])
+        ):
+            out.append(_INF)
+            continue
+        bound = solve(i, charged, own[i], blocking[i], cutoff[i])[3]
+        out.append(_INF if bound is None else bound)
+    return out
+
+
+def _readers(kernel: CompiledSystem) -> list[list[int]]:
+    """``readers[c]``: the subtasks whose IEERT inputs include bound
+    ``c`` -- its successor (own jitter) and everything that successor
+    interferes with."""
+    interfered: list[list[int]] = [[] for _ in kernel.sids]
+    for i, others in enumerate(kernel.interferers):
+        for u in others:
+            interfered[u].append(i)
+    readers: list[list[int]] = [[] for _ in kernel.sids]
+    for s, p in enumerate(kernel.predecessor):
+        if p >= 0:
+            readers[p] = [s, *interfered[s]]
+    return readers
 
 
 def ieert_pass(
@@ -104,40 +168,22 @@ def ieert_pass(
     analyzed subtask's own jitter, whose blocking term already covers
     its waits.
     """
-    timebase = get_timebase(timebase)
-    jitter = _jitter_view(system, bounds)
     blocking = blocking or {}
     extra = extra_jitter or {}
-    new_bounds: dict[SubtaskId, float] = {}
-    for sid in system.subtask_ids:
-        period = timebase.convert(system.period_of(sid))
-        interferers = list(system.interference_set(sid))
-        relevant = [jitter[sid]] + [
-            jitter[other] + extra.get(other, 0) for other in interferers
-        ]
-        own_blocking = blocking.get(sid, 0)
-        if any(math.isinf(j) for j in relevant) or math.isinf(own_blocking):
-            new_bounds[sid] = math.inf
-            continue
-        cutoff = (
-            timebase.convert(failure_factor) * period
-            if failure_factor is not None
-            else None
-        )
-        adjusted = dict(jitter)
-        for other in interferers:
-            if other in extra:
-                adjusted[other] = jitter[other] + extra[other]
-        record = analyze_subtask(
-            system,
-            sid,
-            adjusted,
-            abort_above=cutoff,
-            blocking=own_blocking,
-            timebase=timebase,
-        )
-        new_bounds[sid] = math.inf if record.bound is None else record.bound
-    return new_bounds
+    kernel = CompiledSystem(
+        system,
+        get_timebase(timebase),
+        [*bounds.values(), *blocking.values(), *extra.values()],
+    )
+    to_kernel = kernel.to_kernel
+    out = _pass(
+        kernel,
+        [to_kernel(bounds[sid]) for sid in kernel.sids],
+        [to_kernel(blocking.get(sid, 0)) for sid in kernel.sids],
+        [to_kernel(extra.get(sid, 0)) for sid in kernel.sids],
+        _cutoffs(kernel, failure_factor),
+    )
+    return {sid: kernel.from_kernel(v) for sid, v in zip(kernel.sids, out)}
 
 
 def analyze_sa_ds(
@@ -171,33 +217,73 @@ def analyze_sa_ds(
         raise AnalysisError(
             f"max_iterations must be >= 1, got {max_iterations!r}"
         )
-    timebase = get_timebase(timebase)
-    bounds = initial_ieer_bounds(system, timebase=timebase)
-    cutoff_factor = timebase.convert(failure_factor)
-    periods = {
-        task_index: timebase.convert(task.period)
-        for task_index, task in enumerate(system.tasks)
-    }
+    kernel = CompiledSystem(
+        system,
+        get_timebase(timebase),
+        [*(blocking or {}).values(), *(extra_jitter or {}).values()],
+    )
+    return sa_ds_compiled(
+        kernel,
+        failure_factor=failure_factor,
+        max_iterations=max_iterations,
+        blocking=blocking,
+        extra_jitter=extra_jitter,
+    )
+
+
+def sa_ds_compiled(
+    kernel: CompiledSystem,
+    *,
+    failure_factor: float = FAILURE_FACTOR,
+    max_iterations: int = 300,
+    blocking: Mapping[SubtaskId, float] | None = None,
+    extra_jitter: Mapping[SubtaskId, float] | None = None,
+) -> AnalysisResult:
+    """:func:`analyze_sa_ds` on an already compiled system.
+
+    Callers that analyze one system many times (the blocking-aware
+    joint fixpoint) compile it once and pass it here; a map whose values
+    leave the compiled lattice triggers a recompile.
+    """
+    if max_iterations < 1:
+        raise AnalysisError(
+            f"max_iterations must be >= 1, got {max_iterations!r}"
+        )
+    blocking = blocking or {}
+    extra = extra_jitter or {}
+    kernel = kernel.including([*blocking.values(), *extra.values()])
+    system, sids, to_kernel = kernel.system, kernel.sids, kernel.to_kernel
+    blocking_k = [to_kernel(blocking.get(sid, 0)) for sid in sids]
+    extra_k = [to_kernel(extra.get(sid, 0)) for sid in sids]
+    cutoff = _cutoffs(kernel, failure_factor)
+    readers = _readers(kernel)
+    seed = initial_ieer_bounds(system, timebase=kernel.timebase)
+    bounds = [to_kernel(seed[sid]) for sid in sids]
+    last = kernel.last
     notes: list[str] = []
     iterations = 0
     failed = False
+    previous_input: list | None = None
+    previous_output: list | None = None
     while True:
         iterations += 1
-        new_bounds = ieert_pass(
-            system,
-            bounds,
-            failure_factor=failure_factor,
-            timebase=timebase,
-            blocking=blocking,
-            extra_jitter=extra_jitter,
+        dirty = None
+        if previous_output is not None:
+            dirty = [False] * len(sids)
+            for c, (new, old) in enumerate(zip(bounds, previous_input)):
+                if new != old:
+                    for r in readers[c]:
+                        dirty[r] = True
+        new_bounds = _pass(
+            kernel, bounds, blocking_k, extra_k, cutoff, previous_output, dirty
         )
+        previous_input, previous_output = bounds, list(new_bounds)
         # The paper's failure cutoff, checked at task level: a task whose
         # EER bound exceeds failure_factor periods is declared unbounded.
-        for task_index, task in enumerate(system.tasks):
-            last = SubtaskId(task_index, task.chain_length - 1)
-            if new_bounds[last] > cutoff_factor * periods[task_index]:
-                new_bounds[last] = math.inf
-        if any(math.isinf(value) for value in new_bounds.values()):
+        for i in last:
+            if new_bounds[i] > cutoff[i]:
+                new_bounds[i] = _INF
+        if _INF in new_bounds:
             failed = True
             bounds = new_bounds
             notes.append(
@@ -205,13 +291,12 @@ def analyze_sa_ds(
                 f"{iterations} IEERT pass(es)"
             )
             break
-        if timebase.exact:
+        if kernel.exact:
             converged = new_bounds == bounds
         else:
             converged = all(
-                abs(new_bounds[sid] - bounds[sid])
-                <= _CONVERGENCE_RTOL * max(1.0, bounds[sid])
-                for sid in system.subtask_ids
+                abs(new - old) <= _CONVERGENCE_RTOL * max(1.0, old)
+                for new, old in zip(new_bounds, bounds)
             )
         bounds = new_bounds
         if converged:
@@ -223,34 +308,27 @@ def analyze_sa_ds(
             # infinite, at a tiny risk of misclassifying a very slowly
             # converging system.
             failed = True
-            for sid in system.subtask_ids:
-                if system.is_last(sid):
-                    bounds = dict(bounds)
-                    bounds[sid] = math.inf
+            for i in last:
+                bounds[i] = _INF
             notes.append(
                 f"no fixed point within {max_iterations} IEERT passes; "
                 f"bounds still growing -- declared failure"
             )
             break
     task_bounds = []
-    for task_index, task in enumerate(system.tasks):
-        last = SubtaskId(task_index, task.chain_length - 1)
-        value = bounds[last]
+    first = 0
+    for i in last:
+        value = bounds[i]
         # IEER bounds grow along a chain, so an infinite bound anywhere on
         # the chain means the task's EER bound is infinite -- even when the
         # iteration stopped before recomputing the last subtask.
-        chain_diverged = any(
-            math.isinf(bounds[SubtaskId(task_index, j)])
-            for j in range(task.chain_length)
-        )
+        chain_diverged = _INF in bounds[first : i + 1]
         task_bounds.append(
-            math.inf
-            if (
-                chain_diverged
-                or value > cutoff_factor * periods[task_index]
-            )
-            else value
+            _INF
+            if chain_diverged or value > cutoff[i]
+            else kernel.from_kernel(value)
         )
+        first = i + 1
     if failed:
         # Bounds of tasks that had not yet exceeded the cutoff when the
         # iteration stopped are not converged; in a failed result only the
@@ -262,7 +340,9 @@ def analyze_sa_ds(
     return AnalysisResult(
         system=system,
         algorithm="SA/DS",
-        subtask_bounds=bounds,
+        subtask_bounds={
+            sid: kernel.from_kernel(v) for sid, v in zip(sids, bounds)
+        },
         task_bounds=tuple(task_bounds),
         iterations=iterations,
         notes=tuple(notes),

@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from repro.core.analysis.busy_period import SubtaskBusyPeriod, analyze_subtask
+from repro.core.analysis.busy_period import CompiledSystem, SubtaskBusyPeriod
 from repro.core.analysis.results import AnalysisResult
+from repro.errors import AnalysisError
 from repro.model.system import System
 from repro.model.task import SubtaskId
 from repro.timebase import FLOAT, Timebase, get_timebase
 
-__all__ = ["analyze_sa_pm", "sa_pm_subtask_details"]
+__all__ = ["analyze_sa_pm", "sa_pm_compiled", "sa_pm_subtask_details"]
 
 
 def sa_pm_subtask_details(
@@ -39,15 +40,33 @@ def sa_pm_subtask_details(
     of lock-holding subtasks -- see :mod:`repro.locks.analysis`): it
     widens the arrival windows of interfering subtasks but is never
     applied to the analyzed subtask's own releases, which stay strictly
-    periodic under PM/MPM/RG.  An infinite blocking term short-circuits
-    to a diverged record (the exact backend cannot represent infinite
-    demand).
+    periodic under PM/MPM/RG.  Its values must be finite.  An infinite
+    blocking term short-circuits to a diverged record (the exact
+    backend cannot represent infinite demand).
     """
+    return _details(_compile(system, blocking, jitter, timebase), blocking, jitter)
+
+
+def _compile(system, blocking, jitter, timebase) -> CompiledSystem:
+    values = [*(blocking or {}).values(), *(jitter or {}).values()]
+    return CompiledSystem(system, get_timebase(timebase), values)
+
+
+def _details(
+    kernel: CompiledSystem,
+    blocking: Mapping[SubtaskId, float] | None,
+    jitter: Mapping[SubtaskId, float] | None,
+) -> dict[SubtaskId, SubtaskBusyPeriod]:
     blocking = blocking or {}
     jitter = jitter or {}
-    timebase = get_timebase(timebase)
+    for sid, value in jitter.items():
+        if not math.isfinite(value):
+            raise AnalysisError(f"non-finite jitter for {sid}: {value!r}")
+    to_kernel = kernel.to_kernel
+    vector = [to_kernel(jitter.get(sid, 0)) for sid in kernel.sids]
+    zero = to_kernel(0)
     details: dict[SubtaskId, SubtaskBusyPeriod] = {}
-    for sid in system.subtask_ids:
+    for i, sid in enumerate(kernel.sids):
         own_blocking = blocking.get(sid, 0.0)
         if math.isinf(own_blocking):
             details[sid] = SubtaskBusyPeriod(
@@ -58,13 +77,8 @@ def sa_pm_subtask_details(
                 bound=None,
             )
             continue
-        details[sid] = analyze_subtask(
-            system,
-            sid,
-            {other: value for other, value in jitter.items() if other != sid},
-            blocking=own_blocking,
-            timebase=timebase,
-        )
+        solved = kernel.solve(i, vector, zero, to_kernel(own_blocking), None)
+        details[sid] = kernel.record(i, solved)
     return details
 
 
@@ -92,10 +106,28 @@ def analyze_sa_pm(
     bounds come out as scaled integers/rationals and the EER sums are
     exact.
     """
-    timebase = get_timebase(timebase)
-    details = sa_pm_subtask_details(
-        system, blocking, jitter=jitter, timebase=timebase
+    return sa_pm_compiled(
+        _compile(system, blocking, jitter, timebase), blocking=blocking, jitter=jitter
     )
+
+
+def sa_pm_compiled(
+    kernel: CompiledSystem,
+    *,
+    blocking: Mapping[SubtaskId, float] | None = None,
+    jitter: Mapping[SubtaskId, float] | None = None,
+) -> AnalysisResult:
+    """:func:`analyze_sa_pm` on an already compiled system.
+
+    Callers that analyze one system many times (the blocking-aware
+    joint fixpoint) compile it once and pass it here; a map whose values
+    leave the compiled lattice triggers a recompile.
+    """
+    kernel = kernel.including(
+        [*(blocking or {}).values(), *(jitter or {}).values()]
+    )
+    details = _details(kernel, blocking, jitter)
+    system, timebase = kernel.system, kernel.timebase
     subtask_bounds = {
         sid: (math.inf if record.bound is None else record.bound)
         for sid, record in details.items()

@@ -52,7 +52,7 @@ from typing import Mapping
 
 from repro.clocks.config import ClockConfig
 from repro.clocks.models import ClockMap
-from repro.core.analysis.busy_period import analyze_subtask
+from repro.core.analysis.busy_period import CompiledSystem
 from repro.core.analysis.results import AnalysisResult
 from repro.core.analysis.sa_pm import analyze_sa_pm
 from repro.errors import ConfigurationError
@@ -165,25 +165,26 @@ def analyze_sa_pm_skewed(
     delta, jitter = skew_terms(system, rate=rate, jump=jump, timebase=tb)
     blocking = blocking or {}
     subtask_bounds: dict[SubtaskId, float] = {}
-    for sid in system.subtask_ids:
-        if math.isinf(delta[sid]) or math.isinf(jitter[sid]):
-            subtask_bounds[sid] = math.inf
-            continue
-        if any(math.isinf(jitter[other]) for other in system.subtask_ids):
-            # An unbounded wobble anywhere poisons every demand equation.
-            subtask_bounds[sid] = math.inf
-            continue
-        record = analyze_subtask(
-            system,
-            sid,
-            jitter,
-            blocking=blocking.get(sid, 0.0),
-            timebase=tb,
+    if any(math.isinf(value) for value in jitter.values()):
+        # An unbounded wobble anywhere poisons every demand equation.
+        subtask_bounds = {sid: math.inf for sid in system.subtask_ids}
+    else:
+        kernel = CompiledSystem(
+            system, tb, [*jitter.values(), *blocking.values()]
         )
-        if record.bound is None:
-            subtask_bounds[sid] = math.inf
-        else:
-            subtask_bounds[sid] = record.bound + delta[sid]
+        vector = [kernel.to_kernel(jitter[sid]) for sid in kernel.sids]
+        for i, sid in enumerate(kernel.sids):
+            if math.isinf(delta[sid]):
+                subtask_bounds[sid] = math.inf
+                continue
+            own_blocking = kernel.to_kernel(blocking.get(sid, 0.0))
+            record = kernel.record(
+                i, kernel.solve(i, vector, vector[i], own_blocking, None)
+            )
+            if record.bound is None:
+                subtask_bounds[sid] = math.inf
+            else:
+                subtask_bounds[sid] = record.bound + delta[sid]
     task_bounds = []
     for task_index, task in enumerate(system.tasks):
         total = tb.zero

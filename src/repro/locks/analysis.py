@@ -55,12 +55,15 @@ so resource-free bounds are bit-identical with or without this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
+from fractions import Fraction
 from typing import Callable, Mapping
 
+from repro.core.analysis.busy_period import CompiledSystem, lattice_scale
 from repro.core.analysis.results import FAILURE_FACTOR, AnalysisResult
-from repro.core.analysis.sa_ds import analyze_sa_ds
-from repro.core.analysis.sa_pm import analyze_sa_pm
+from repro.core.analysis.sa_ds import analyze_sa_ds, sa_ds_compiled
+from repro.core.analysis.sa_pm import analyze_sa_pm, sa_pm_compiled
 from repro.locks.assignment import build_assignment
 from repro.locks.config import LockingConfig
 from repro.model.system import System
@@ -106,56 +109,116 @@ def blocking_terms(
     the blocking-aware analyses, which iterate deferrals to their
     fixed point.
     """
-    tb = get_timebase(timebase)
-    deferral = deferral or {}
-    assignment = build_assignment(system, locking)
-    periods = {
-        sid: tb.convert(system.period_of(sid)) for sid in system.subtask_ids
-    }
-    # Agent work and utilization per synchronization processor.
-    work_on = {
-        processor: assignment.agent_work_on(system, processor)
-        for processor in set(assignment.sync_processor.values())
-    }
-    agent_utilization = {
-        processor: sum(
-            tb.convert(c) / periods[u] for u, c in work.items()
-        )
-        for processor, work in work_on.items()
-    }
-    terms: dict[SubtaskId, float] = {}
-    for sid in system.subtask_ids:
-        sections = system.subtask(sid).critical_sections
-        if not sections:
-            continue
-        total = tb.zero
-        for section in sections:
-            host = assignment.host_of(section.resource)
-            if agent_utilization[host] >= 1:
-                total = math.inf
-                break
-            duration = tb.convert(section.duration)
-            others = [
-                (periods[u], tb.convert(c), deferral.get(u, 0))
-                for u, c in work_on[host].items()
-                if u != sid
-            ]
-            if any(math.isinf(j) for (_p, _c, j) in others):
-                total = math.inf
-                break
-            window = duration
-            for _pass in range(_MAX_FIXPOINT_PASSES):
-                demand = duration
-                for period, c, j in others:
-                    demand += (math.floor((window + j) / period) + 1) * c
-                if demand == window:
+    return _BlockingModel(system, locking, get_timebase(timebase)).terms(
+        deferral or {}
+    )
+
+
+class _BlockingModel:
+    """The remote-blocking fixpoint's deferral-independent inputs.
+
+    The lock assignment, agent work and host utilizations depend only on
+    the system, so the joint deferral fixpoint derives them once and
+    re-solves only the per-section windows on each outer pass.
+    """
+
+    def __init__(
+        self, system: System, locking: LockingConfig | None, tb: Timebase
+    ) -> None:
+        self.tb = tb
+        assignment = build_assignment(system, locking)
+        periods = {
+            sid: tb.convert(system.period_of(sid))
+            for sid in system.subtask_ids
+        }
+        # Agent work and utilization per synchronization processor.
+        work_on = {
+            processor: assignment.agent_work_on(system, processor)
+            for processor in set(assignment.sync_processor.values())
+        }
+        agent_utilization = {
+            processor: sum(
+                tb.convert(c) / periods[u] for u, c in work.items()
+            )
+            for processor, work in work_on.items()
+        }
+        #: Per resourceful subtask, per section: (host overloaded,
+        #: duration, [(requester, period, agent work)] of the others).
+        self.sections: dict[SubtaskId, list[tuple]] = {}
+        for sid in system.subtask_ids:
+            sections = system.subtask(sid).critical_sections
+            if not sections:
+                continue
+            entries = []
+            for section in sections:
+                host = assignment.host_of(section.resource)
+                entries.append(
+                    (
+                        agent_utilization[host] >= 1,
+                        tb.convert(section.duration),
+                        [
+                            (u, periods[u], tb.convert(c))
+                            for u, c in work_on[host].items()
+                            if u != sid
+                        ],
+                    )
+                )
+            self.sections[sid] = entries
+
+    def terms(
+        self, deferral: Mapping[SubtaskId, float]
+    ) -> dict[SubtaskId, float]:
+        """:func:`blocking_terms` under the given deferral jitters."""
+        terms: dict[SubtaskId, float] = {}
+        for sid, entries in self.sections.items():
+            total = self.tb.zero
+            for overloaded, duration, requesters in entries:
+                if overloaded:
+                    total = math.inf
                     break
-                window = demand
-            else:
-                window = math.inf
-            total += window - duration
-        terms[sid] = total
-    return terms
+                others = [
+                    (period, c, deferral.get(u, 0))
+                    for u, period, c in requesters
+                ]
+                if any(math.isinf(j) for (_p, _c, j) in others):
+                    total = math.inf
+                    break
+                total += _window(duration, others, self.tb) - duration
+            terms[sid] = total
+        return terms
+
+
+def _window(duration, others, tb: Timebase):
+    """Least ``W = d + sum (floor((W + J)/p) + 1) c`` over ``others`` =
+    ``(p, c, J)``, or infinity when it creeps past the pass cap.
+
+    Exact: the iteration runs on integers scaled by the LCM of every
+    denominator in play and maps back on the way out.
+    """
+    if tb.exact:
+        values = [tb.convert(v) for v in (duration, *sum(others, ()))]
+        scale = lattice_scale(values)
+        duration, *flat = [int(v * scale) for v in values]
+        others = list(zip(flat[0::3], flat[1::3], flat[2::3]))
+        floor_div = operator.floordiv
+    else:
+        scale = None
+        floor_div = _float_floor_div
+    window = duration
+    for _pass in range(_MAX_FIXPOINT_PASSES):
+        demand = duration
+        for period, c, j in others:
+            demand += (floor_div(window + j, period) + 1) * c
+        if demand == window:
+            break
+        window = demand
+    else:
+        return math.inf
+    return window if scale is None else tb.convert(Fraction(window, scale))
+
+
+def _float_floor_div(a: float, b: float) -> int:
+    return math.floor(a / b)
 
 
 def agent_augmented_system(
@@ -335,8 +398,9 @@ def _deferral_fixpoint(
         sid: tb.convert(FAILURE_FACTOR) * tb.convert(system.period_of(sid))
         for sid in resourceful
     }
+    model = _BlockingModel(system, locking, tb)
     jitter: dict[SubtaskId, float] = {sid: tb.zero for sid in resourceful}
-    terms = blocking_terms(system, locking, timebase=tb, deferral=jitter)
+    terms = model.terms(jitter)
     for _pass in range(_MAX_DEFERRAL_PASSES):
         full = dict(jitter)
         for agent_sid, owner in owners.items():
@@ -356,9 +420,7 @@ def _deferral_fixpoint(
                 new_jitter[sid] = math.inf
             else:
                 new_jitter[sid] = max(tb.zero, bound - executions[sid])
-        new_terms = blocking_terms(
-            system, locking, timebase=tb, deferral=new_jitter
-        )
+        new_terms = model.terms(new_jitter)
         converged = _maps_close(new_jitter, jitter, tb) and _maps_close(
             new_terms, terms, tb
         )
@@ -392,13 +454,13 @@ def resolved_blocking_terms(
         return {}
     tb = get_timebase(timebase)
     locking = locking if locking is not None else LockingConfig()
-    augmented = agent_augmented_system(system, locking)
+    kernel = CompiledSystem(agent_augmented_system(system, locking), tb)
     terms, _jitter, _result = _deferral_fixpoint(
         system,
         locking,
         tb,
-        lambda blocking, jitter: analyze_sa_pm(
-            augmented, blocking=blocking, jitter=jitter, timebase=tb
+        lambda blocking, jitter: sa_pm_compiled(
+            kernel, blocking=blocking, jitter=jitter
         ),
     )
     return terms
@@ -421,13 +483,13 @@ def analyze_sa_pm_blocking(
         return analyze_sa_pm(system, timebase=timebase)
     tb = get_timebase(timebase)
     locking = locking if locking is not None else LockingConfig()
-    augmented = agent_augmented_system(system, locking)
+    kernel = CompiledSystem(agent_augmented_system(system, locking), tb)
     _terms, _jitter, result = _deferral_fixpoint(
         system,
         locking,
         tb,
-        lambda blocking, jitter: analyze_sa_pm(
-            augmented, blocking=blocking, jitter=jitter, timebase=tb
+        lambda blocking, jitter: sa_pm_compiled(
+            kernel, blocking=blocking, jitter=jitter
         ),
     )
     return _strip_agents(result, system, f"SA/PM+{locking.protocol}")
@@ -456,18 +518,17 @@ def analyze_sa_ds_blocking(
         )
     tb = get_timebase(timebase)
     locking = locking if locking is not None else LockingConfig()
-    augmented = agent_augmented_system(system, locking)
+    kernel = CompiledSystem(agent_augmented_system(system, locking), tb)
     _terms, _jitter, result = _deferral_fixpoint(
         system,
         locking,
         tb,
-        lambda blocking, jitter: analyze_sa_ds(
-            augmented,
+        lambda blocking, jitter: sa_ds_compiled(
+            kernel,
             blocking=blocking,
             extra_jitter=jitter,
             failure_factor=failure_factor,
             max_iterations=max_iterations,
-            timebase=tb,
         ),
     )
     return _strip_agents(result, system, f"SA/DS+{locking.protocol}")

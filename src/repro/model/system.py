@@ -142,11 +142,38 @@ class System:
         definition (the generated workloads never co-locate *consecutive*
         siblings, but the model allows arbitrary placements).
         """
-        me = self.subtask(sid)
+        ids = self.subtask_ids
         return tuple(
-            other
-            for other in self.subtasks_on(me.processor)
-            if other != sid and self.subtask(other).priority <= me.priority
+            ids[k] for k in self.interference_index[self.position_of(sid)]
+        )
+
+    @cached_property
+    def _positions(self) -> Mapping[SubtaskId, int]:
+        return {sid: k for k, sid in enumerate(self.subtask_ids)}
+
+    def position_of(self, sid: SubtaskId) -> int:
+        """Index of ``sid`` in :attr:`subtask_ids`."""
+        self._check(sid)
+        return self._positions[sid]
+
+    @cached_property
+    def interference_index(self) -> tuple[tuple[int, ...], ...]:
+        """Every subtask's :meth:`interference_set`, as positions in
+        :attr:`subtask_ids` (processor task order), by position."""
+        stages = [
+            self.tasks[sid.task_index].subtasks[sid.subtask_index]
+            for sid in self.subtask_ids
+        ]
+        on: dict[ProcessorId, list[int]] = {}
+        for k, stage in enumerate(stages):
+            on.setdefault(stage.processor, []).append(k)
+        return tuple(
+            tuple(
+                other
+                for other in on[stage.processor]
+                if other != k and stages[other].priority <= stage.priority
+            )
+            for k, stage in enumerate(stages)
         )
 
     # ------------------------------------------------------------------

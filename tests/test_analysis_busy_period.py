@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.analysis.busy_period import (
@@ -154,6 +156,20 @@ class TestJitteredAnalysis:
             analyze_subtask(
                 _rm_pair(), SubtaskId(1, 0), {SubtaskId(1, 0): -1.0}
             )
+
+    def test_non_finite_relevant_jitter_rejected(self):
+        from repro.errors import AnalysisError
+
+        # An interferer's infinite jitter has no finite demand to solve;
+        # a non-interferer's is ignored.
+        with pytest.raises(AnalysisError, match="non-finite"):
+            analyze_subtask(
+                _rm_pair(), SubtaskId(1, 0), {SubtaskId(0, 0): math.inf}
+            )
+        record = analyze_subtask(
+            _rm_pair(), SubtaskId(0, 0), {SubtaskId(1, 0): math.inf}
+        )
+        assert record.bound == analyze_subtask(_rm_pair(), SubtaskId(0, 0)).bound
 
     def test_abort_above_reports_aborted(self):
         # Force a tiny cutoff so the first instance already exceeds it.
