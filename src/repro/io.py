@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from repro.core.analysis.results import AnalysisResult
 from repro.errors import ConfigurationError
@@ -24,6 +24,8 @@ __all__ = [
     "decode_bound",
     "system_to_dict",
     "system_from_dict",
+    "normalize_system_dict",
+    "system_from_normalized",
     "save_system",
     "load_system",
     "analysis_result_to_dict",
@@ -100,46 +102,102 @@ def system_to_dict(system: System) -> dict[str, Any]:
     }
 
 
-def system_from_dict(data: dict[str, Any]) -> System:
-    """Rebuild a system from :func:`system_to_dict` output."""
+def _normal_subtask(stage: Mapping[str, Any]) -> dict[str, Any]:
+    # Fields coerce in the historical parse order, so a document with
+    # several bad fields still reports the same first one.
+    entry: dict[str, Any] = {
+        "execution_time": float(stage["execution_time"]),
+        "processor": str(stage["processor"]),
+        "priority": int(stage.get("priority", 0)),
+        "name": stage.get("name", ""),
+    }
+    sections = [
+        {
+            "resource": str(section["resource"]),
+            "start": float(section["start"]),
+            "duration": float(section["duration"]),
+        }
+        for section in stage.get("critical_sections", ())
+    ]
+    if sections:
+        # The model's storage order (Subtask sorts by (start, end)).
+        sections.sort(key=lambda s: (s["start"], s["start"] + s["duration"]))
+        entry["critical_sections"] = sections
+    return entry
+
+
+def normalize_system_dict(data: Mapping[str, Any]) -> dict[str, Any]:
+    """``system_to_dict(system_from_dict(data))``, without building it.
+
+    Applies the codec's coercions and defaults and the model's section
+    order, but none of its validation: a document the model rejects
+    still normalizes.  :func:`system_from_dict` builds from this output,
+    so the coercion rules live here only.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"not a {_FORMAT} document (a JSON {type(data).__name__})"
+        )
     if data.get("format") != _FORMAT:
         raise ConfigurationError(
             f"not a {_FORMAT} document (format={data.get('format')!r})"
         )
-    tasks = []
-    for entry in data["tasks"]:
-        tasks.append(
+    tasks = [
+        {
+            "period": float(entry["period"]),
+            "phase": float(entry.get("phase", 0.0)),
+            "deadline": (
+                None
+                if entry.get("deadline") is None
+                else float(entry["deadline"])
+            ),
+            "name": entry.get("name", ""),
+            "subtasks": [
+                _normal_subtask(stage) for stage in entry["subtasks"]
+            ],
+        }
+        for entry in data["tasks"]
+    ]
+    return {
+        "format": _FORMAT,
+        "name": data.get("name", "system"),
+        "tasks": tasks,
+    }
+
+
+def system_from_normalized(document: Mapping[str, Any]) -> System:
+    """Build (and validate) a system from :func:`normalize_system_dict`
+    output; no coercion happens here."""
+    return System(
+        tuple(
             Task(
-                period=float(entry["period"]),
-                phase=float(entry.get("phase", 0.0)),
-                deadline=(
-                    None
-                    if entry.get("deadline") is None
-                    else float(entry["deadline"])
-                ),
-                name=entry.get("name", ""),
+                period=entry["period"],
+                phase=entry["phase"],
+                deadline=entry["deadline"],
+                name=entry["name"],
                 subtasks=tuple(
                     Subtask(
-                        execution_time=float(stage["execution_time"]),
-                        processor=str(stage["processor"]),
-                        priority=int(stage.get("priority", 0)),
-                        name=stage.get("name", ""),
+                        execution_time=stage["execution_time"],
+                        processor=stage["processor"],
+                        priority=stage["priority"],
+                        name=stage["name"],
                         critical_sections=tuple(
-                            CriticalSection(
-                                resource=str(section["resource"]),
-                                start=float(section["start"]),
-                                duration=float(section["duration"]),
-                            )
-                            for section in stage.get(
-                                "critical_sections", ()
-                            )
+                            CriticalSection(**section)
+                            for section in stage.get("critical_sections", ())
                         ),
                     )
                     for stage in entry["subtasks"]
                 ),
             )
-        )
-    return System(tuple(tasks), name=data.get("name", "system"))
+            for entry in document["tasks"]
+        ),
+        name=document["name"],
+    )
+
+
+def system_from_dict(data: Mapping[str, Any]) -> System:
+    """Rebuild a system from :func:`system_to_dict` output."""
+    return system_from_normalized(normalize_system_dict(data))
 
 
 def save_system(system: System, path: str | Path) -> None:

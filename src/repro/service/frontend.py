@@ -41,20 +41,21 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Any, Awaitable, Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.service.backends import CACHE_BACKENDS, make_cache
 from repro.service.batch import _compute_job, _degraded_decision
 from repro.service.cache import SingleFlight
 from repro.service.durability import FSYNC_POLICIES
-from repro.service.hashing import request_key
+from repro.service.hashing import content_key, request_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.supervision import BreakerConfig, CircuitBreaker
 from repro.service.requests import (
     AdmissionDecision,
     AdmissionRequest,
     decision_to_dict,
+    request_content,
     request_from_dict,
 )
 from repro.service.sharding import ShardRing
@@ -590,27 +591,76 @@ class AdmissionFrontend:
         return shard
 
     async def admit(
-        self, request: AdmissionRequest
+        self, request: AdmissionRequest, *, key: str | None = None
     ) -> AdmissionDecision:
         """Decide one request through quotas, cache, and its shard.
 
         Always returns a decision: a real verdict, a degraded REJECT
         (ladder exhausted), or an explicit shed (quota or queue full).
+        ``key``, when given, must be ``request_key(request)``; the wire
+        path passes the one it computed from the document.
         """
+        return await self._admit(
+            request.tenant, request.request_id, lambda: request, key
+        )
+
+    def _admit_document(
+        self, document: Any
+    ) -> Awaitable[AdmissionDecision]:
+        """The admission of one decoded wire document, keyed before it
+        is built.
+
+        Raises what :func:`request_from_dict` raises for an invalid
+        document, before any quota token is taken.  A document whose
+        key the cache holds is served without building a request: only
+        a built, validated request ever stored that key, and equal keys
+        mean equal content, so this document would build the same valid
+        request.  Anything else -- a miss, or a document that does not
+        even normalize -- is built exactly as before.
+        """
+        try:
+            system, fields = request_content(document)
+            key = content_key(system, fields)
+        except Exception:  # noqa: BLE001 - the build below reports it
+            key = None
+        if key is not None and self.cache is not None and key in self.cache:
+            return self._admit(
+                fields["tenant"],
+                fields["request_id"],
+                lambda: request_from_dict(document),
+                key,
+            )
+        request = request_from_dict(document)
+        if key is None:
+            # Built, yet not keyable (a non-finite name): raise here, as
+            # a bad line, rather than inside the admission.
+            key = request_key(request)
+        return self.admit(request, key=key)
+
+    async def _admit(
+        self,
+        tenant: str,
+        request_id: str,
+        build: Callable[[], AdmissionRequest],
+        key: str | None,
+    ) -> AdmissionDecision:
+        """Quota, then route and cache on the key; ``build`` makes the
+        request only when a shed or a miss needs it."""
         if not self._started:
             raise ConfigurationError(
                 "frontend not started (use 'async with' or await start())"
             )
         started = time.perf_counter()
-        if not self._take_token(request.tenant):
+        if not self._take_token(tenant):
             self.metrics.record_shed()
             return _shed_decision(
-                request,
+                build(),
                 "",
-                f"tenant {request.tenant or 'default'!r} quota "
+                f"tenant {tenant or 'default'!r} quota "
                 "exceeded (429, retry later)",
             )
-        key = request_key(request)
+        if key is None:
+            key = request_key(build())
         shard = self._route(key)
         if self.cache is not None:
             cached = self.cache.get(key)
@@ -626,7 +676,8 @@ class AdmissionFrontend:
                         cache_hit=True,
                         latency=latency,
                     )
-                return replace(cached, request_id=request.request_id)
+                return replace(cached, request_id=request_id)
+        request = build()
         future: asyncio.Future = (
             asyncio.get_running_loop().create_future()
         )
@@ -901,10 +952,15 @@ async def serve_frontend(
 
     Each request line is a ``repro-admission-request-v1`` (or bare
     ``repro-system-v1``) document; each response line is the decision
-    document, in request order per connection.  Malformed lines get an
-    ``{"error": ...}`` line instead of killing the connection.  The
-    returned server is started; callers own its lifetime
-    (``server.close()`` / ``await server.wait_closed()``).
+    document, in request order per connection.  Every non-blank line
+    gets exactly one reply: a malformed one -- not UTF-8, not JSON, not
+    an object, or an invalid system or option -- gets an
+    ``{"error": "bad request line: ..."}`` line, and the connection
+    goes on serving the lines behind it.  Lines are keyed before they
+    are built (see :meth:`AdmissionFrontend._admit_document`), so a
+    cache hit never constructs a request.  The returned server is
+    started; callers own its lifetime (``server.close()`` /
+    ``await server.wait_closed()``).
     """
 
     async def handle(
@@ -915,21 +971,17 @@ async def serve_frontend(
                 line = await reader.readline()
                 if not line:
                     break
-                text = line.decode("utf-8").strip()
-                if not text:
-                    continue
                 try:
-                    request = request_from_dict(json.loads(text))
-                except (
-                    ConfigurationError,
-                    ValueError,
-                    KeyError,
-                    TypeError,
-                ) as exc:
+                    text = line.decode("utf-8").strip()
+                    if not text:
+                        continue
+                    admission = frontend._admit_document(json.loads(text))
+                except Exception as exc:  # noqa: BLE001
+                    # Every line gets a reply: a bad one never costs the
+                    # connection, nor the requests queued behind it.
                     payload: dict = {"error": f"bad request line: {exc}"}
                 else:
-                    decision = await frontend.admit(request)
-                    payload = decision_to_dict(decision)
+                    payload = decision_to_dict(await admission)
                 writer.write(
                     (json.dumps(payload, sort_keys=True) + "\n").encode(
                         "utf-8"

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Mapping
 
 from repro.io import system_to_dict
 from repro.model.system import System
@@ -43,6 +43,7 @@ __all__ = [
     "KEY_FORMAT",
     "KEY_FORMAT_V3",
     "canonical_payload",
+    "content_key",
     "request_key",
     "system_key",
 ]
@@ -62,27 +63,43 @@ KEY_FORMAT = "repro-admission-key-v2"
 KEY_FORMAT_V3 = "repro-admission-key-v3"
 
 
-def canonical_payload(request: AdmissionRequest) -> dict[str, Any]:
-    """The exact dictionary that gets hashed (useful for debugging)."""
-    resourceful = (
-        request.shared_resources or request.system.has_critical_sections
-    )
+#: Option fields that are decision content, under their payload names.
+_KEYED_OPTIONS: tuple[str, ...] = (
+    "protocols",
+    "jitter_sensitive",
+    "wcets_trusted",
+    "clock_sync_available",
+    "strictly_periodic_arrivals",
+    "synchronized_clocks",
+    "clock_rate_bound",
+    "clock_jump_bound",
+    "sa_ds_max_iterations",
+)
+
+
+def _payload(
+    system: dict[str, Any], fields: Mapping[str, Any]
+) -> dict[str, Any]:
+    resourceful = fields["shared_resources"]
     payload: dict[str, Any] = {
         "format": KEY_FORMAT_V3 if resourceful else KEY_FORMAT,
-        "system": system_to_dict(request.system),
-        "protocols": list(request.protocols),
-        "jitter_sensitive": request.jitter_sensitive,
-        "wcets_trusted": request.wcets_trusted,
-        "clock_sync_available": request.clock_sync_available,
-        "strictly_periodic_arrivals": request.strictly_periodic_arrivals,
-        "synchronized_clocks": request.synchronized_clocks,
-        "clock_rate_bound": request.clock_rate_bound,
-        "clock_jump_bound": request.clock_jump_bound,
-        "sa_ds_max_iterations": request.sa_ds_max_iterations,
+        "system": system,
     }
+    for name in _KEYED_OPTIONS:
+        payload[name] = fields[name]
+    payload["protocols"] = list(fields["protocols"])
     if resourceful:
-        payload["shared_resources"] = request.shared_resources
+        payload["shared_resources"] = resourceful
     return payload
+
+
+def canonical_payload(request: AdmissionRequest) -> dict[str, Any]:
+    """The exact dictionary that gets hashed (useful for debugging)."""
+    fields = {name: getattr(request, name) for name in _KEYED_OPTIONS}
+    fields["shared_resources"] = (
+        request.shared_resources or request.system.has_critical_sections
+    )
+    return _payload(system_to_dict(request.system), fields)
 
 
 def _canonical_default(value: Any) -> Any:
@@ -95,16 +112,31 @@ def _canonical_default(value: Any) -> Any:
     return canonical
 
 
-def request_key(request: AdmissionRequest) -> str:
-    """The SHA-256 hex digest identifying a request's content."""
+def _digest(payload: dict[str, Any]) -> str:
     encoded = json.dumps(
-        canonical_payload(request),
+        payload,
         sort_keys=True,
         separators=(",", ":"),
         allow_nan=False,
         default=_canonical_default,
     )
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def request_key(request: AdmissionRequest) -> str:
+    """The SHA-256 hex digest identifying a request's content."""
+    return _digest(canonical_payload(request))
+
+
+def content_key(system: dict[str, Any], fields: Mapping[str, Any]) -> str:
+    """The key of a decoded request document, from its
+    :func:`~repro.service.requests.request_content`.
+
+    Equals ``request_key(request_from_dict(document))`` whenever that
+    request builds; the wire path keys lines with it before (and, on a
+    cache hit, instead of) building them.
+    """
+    return _digest(_payload(system, fields))
 
 
 def system_key(system: System, **options) -> str:

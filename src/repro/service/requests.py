@@ -29,7 +29,8 @@ from repro.errors import ConfigurationError
 from repro.io import (
     decode_bound,
     encode_bound,
-    system_from_dict,
+    normalize_system_dict,
+    system_from_normalized,
     system_to_dict,
 )
 from repro.model.system import System
@@ -40,6 +41,7 @@ __all__ = [
     "AdmissionDecision",
     "request_to_dict",
     "request_from_dict",
+    "request_content",
     "decision_to_dict",
     "decision_from_dict",
     "load_requests_jsonl",
@@ -53,6 +55,48 @@ ALL_PROTOCOLS: tuple[str, ...] = ("DS", "PM", "MPM", "RG")
 _REQUEST_FORMAT = "repro-admission-request-v1"
 _DECISION_FORMAT = "repro-admission-decision-v1"
 _SYSTEM_FORMAT = "repro-system-v1"
+
+
+def _canonical_protocols(protocols: Iterable[Any]) -> tuple[str, ...]:
+    """Upper-cased, de-duplicated, in the paper's order; so ("rg", "DS")
+    and ("DS", "RG") hash and decide identically."""
+    canonical = tuple(
+        p.upper() if isinstance(p, str) else p for p in protocols
+    )
+    unknown = [p for p in canonical if p not in ALL_PROTOCOLS]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown protocol(s) {unknown!r}; expected a subset of "
+            f"{'/'.join(ALL_PROTOCOLS)}"
+        )
+    if not canonical:
+        raise ConfigurationError(
+            "an admission request needs at least one candidate protocol"
+        )
+    return tuple(p for p in ALL_PROTOCOLS if p in canonical)
+
+
+def _check_bounds(
+    sa_ds_max_iterations: int,
+    clock_rate_bound: float,
+    clock_jump_bound: float,
+) -> None:
+    if sa_ds_max_iterations < 1:
+        raise ConfigurationError(
+            f"sa_ds_max_iterations must be >= 1, "
+            f"got {sa_ds_max_iterations}"
+        )
+    if not (0 <= clock_rate_bound < 1) or not math.isfinite(
+        clock_rate_bound
+    ):
+        raise ConfigurationError(
+            f"clock_rate_bound must be in [0, 1), got {clock_rate_bound!r}"
+        )
+    if clock_jump_bound < 0 or not math.isfinite(clock_jump_bound):
+        raise ConfigurationError(
+            f"clock_jump_bound must be finite and >= 0, "
+            f"got {clock_jump_bound!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -119,43 +163,14 @@ class AdmissionRequest:
     tenant: str = ""
 
     def __post_init__(self) -> None:
-        canonical = tuple(p.upper() for p in self.protocols)
-        unknown = [p for p in canonical if p not in ALL_PROTOCOLS]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown protocol(s) {unknown!r}; expected a subset of "
-                f"{'/'.join(ALL_PROTOCOLS)}"
-            )
-        if not canonical:
-            raise ConfigurationError(
-                "an admission request needs at least one candidate protocol"
-            )
-        # Deduplicate while keeping the paper's canonical order so that
-        # ("RG", "DS") and ("DS", "RG") hash and decide identically.
         object.__setattr__(
-            self,
-            "protocols",
-            tuple(p for p in ALL_PROTOCOLS if p in canonical),
+            self, "protocols", _canonical_protocols(self.protocols)
         )
-        if self.sa_ds_max_iterations < 1:
-            raise ConfigurationError(
-                f"sa_ds_max_iterations must be >= 1, "
-                f"got {self.sa_ds_max_iterations}"
-            )
-        if not (0 <= self.clock_rate_bound < 1) or not math.isfinite(
-            self.clock_rate_bound
-        ):
-            raise ConfigurationError(
-                f"clock_rate_bound must be in [0, 1), "
-                f"got {self.clock_rate_bound!r}"
-            )
-        if self.clock_jump_bound < 0 or not math.isfinite(
-            self.clock_jump_bound
-        ):
-            raise ConfigurationError(
-                f"clock_jump_bound must be finite and >= 0, "
-                f"got {self.clock_jump_bound!r}"
-            )
+        _check_bounds(
+            self.sa_ds_max_iterations,
+            self.clock_rate_bound,
+            self.clock_jump_bound,
+        )
         # A system that declares critical sections is a shared-resource
         # deployment whether or not the caller said so; normalizing here
         # keeps the cache key and the decision logic in agreement.
@@ -259,6 +274,48 @@ def request_to_dict(request: AdmissionRequest) -> dict[str, Any]:
     }
 
 
+def _request_document(
+    data: Mapping[str, Any],
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """(normalized system document, coerced option fields) of a request
+    or bare system document; nothing is validated yet."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"not a {_REQUEST_FORMAT} document "
+            f"(a JSON {type(data).__name__})"
+        )
+    if data.get("format") == _SYSTEM_FORMAT:
+        # A bare system is a request with every option at its default.
+        return normalize_system_dict(data), _option_fields({})
+    if data.get("format") != _REQUEST_FORMAT:
+        raise ConfigurationError(
+            f"not a {_REQUEST_FORMAT} document "
+            f"(format={data.get('format')!r})"
+        )
+    return normalize_system_dict(data["system"]), _option_fields(data)
+
+
+def _option_fields(data: Mapping[str, Any]) -> dict[str, Any]:
+    return {
+        "protocols": tuple(data.get("protocols", ALL_PROTOCOLS)),
+        "jitter_sensitive": bool(data.get("jitter_sensitive", False)),
+        "wcets_trusted": bool(data.get("wcets_trusted", True)),
+        "clock_sync_available": bool(
+            data.get("clock_sync_available", False)
+        ),
+        "strictly_periodic_arrivals": bool(
+            data.get("strictly_periodic_arrivals", False)
+        ),
+        "synchronized_clocks": bool(data.get("synchronized_clocks", True)),
+        "clock_rate_bound": float(data.get("clock_rate_bound", 0.0)),
+        "clock_jump_bound": float(data.get("clock_jump_bound", 0.0)),
+        "shared_resources": bool(data.get("shared_resources", False)),
+        "sa_ds_max_iterations": int(data.get("sa_ds_max_iterations", 300)),
+        "request_id": str(data.get("request_id", "")),
+        "tenant": str(data.get("tenant", "")),
+    }
+
+
 def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
     """Rebuild a request from :func:`request_to_dict` output.
 
@@ -266,30 +323,37 @@ def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
     their defaults), so a file of saved systems is already a valid
     request stream.
     """
-    if data.get("format") == _SYSTEM_FORMAT:
-        return AdmissionRequest(system=system_from_dict(dict(data)))
-    if data.get("format") != _REQUEST_FORMAT:
-        raise ConfigurationError(
-            f"not a {_REQUEST_FORMAT} document "
-            f"(format={data.get('format')!r})"
-        )
-    return AdmissionRequest(
-        system=system_from_dict(data["system"]),
-        protocols=tuple(data.get("protocols", ALL_PROTOCOLS)),
-        jitter_sensitive=bool(data.get("jitter_sensitive", False)),
-        wcets_trusted=bool(data.get("wcets_trusted", True)),
-        clock_sync_available=bool(data.get("clock_sync_available", False)),
-        strictly_periodic_arrivals=bool(
-            data.get("strictly_periodic_arrivals", False)
-        ),
-        synchronized_clocks=bool(data.get("synchronized_clocks", True)),
-        clock_rate_bound=float(data.get("clock_rate_bound", 0.0)),
-        clock_jump_bound=float(data.get("clock_jump_bound", 0.0)),
-        shared_resources=bool(data.get("shared_resources", False)),
-        sa_ds_max_iterations=int(data.get("sa_ds_max_iterations", 300)),
-        request_id=str(data.get("request_id", "")),
-        tenant=str(data.get("tenant", "")),
+    system, options = _request_document(data)
+    return AdmissionRequest(system=system_from_normalized(system), **options)
+
+
+def request_content(
+    data: Mapping[str, Any],
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The content of ``request_from_dict(data)``, without building it.
+
+    Returns ``(system_to_dict(request.system), fields)`` where
+    ``fields`` maps every option, ``request_id`` and ``tenant`` to the
+    value the built request would hold: protocols canonical, bounds
+    checked, ``shared_resources`` implied by sections.  The system is
+    normalized but *not* validated, so this may succeed on a document
+    :func:`request_from_dict` rejects; such content belongs to no valid
+    request, and so to no key any cache holds.
+    """
+    system, fields = _request_document(data)
+    fields["protocols"] = _canonical_protocols(fields["protocols"])
+    _check_bounds(
+        fields["sa_ds_max_iterations"],
+        fields["clock_rate_bound"],
+        fields["clock_jump_bound"],
     )
+    if not fields["shared_resources"]:
+        fields["shared_resources"] = any(
+            "critical_sections" in stage
+            for task in system["tasks"]
+            for stage in task["subtasks"]
+        )
+    return system, fields
 
 
 def decision_to_dict(decision: AdmissionDecision) -> dict[str, Any]:
@@ -374,7 +438,9 @@ def load_requests_jsonl(path: str | Path) -> list[AdmissionRequest]:
             continue
         try:
             requests.append(request_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except Exception as exc:  # noqa: BLE001 - any bad line
+            # Malformed JSON, a non-object, a mistyped field or an
+            # invalid system: each reports the line it came from.
             raise ConfigurationError(
                 f"{path}:{number}: bad admission request line: {exc}"
             ) from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import math
 import threading
 import time
 import warnings
@@ -29,6 +30,7 @@ from repro.service.frontend import (
 )
 from repro.service.requests import (
     AdmissionRequest,
+    decision_to_dict,
     request_to_dict,
 )
 from repro.workload.config import WorkloadConfig
@@ -679,3 +681,209 @@ class TestTcpServer:
         ).admitted
         assert "error" in error_doc
         assert second_doc["key"] == decision_doc["key"]
+
+    def test_malformed_lines_never_cost_the_connection(self):
+        """Each bad line gets an error line; the valid request queued
+        behind them on the same connection is still decided."""
+        invalid_system = request_to_dict(_request(2))
+        invalid_system["system"]["tasks"][0]["subtasks"][0][
+            "execution_time"
+        ] = -1
+        unkeyable = request_to_dict(_request(3))
+        unkeyable["system"]["name"] = math.nan
+        bad_lines = [
+            b"[1, 2]",
+            b"42",
+            b"\xff\xfe not utf-8",
+            json.dumps(invalid_system).encode(),
+            json.dumps(unkeyable).encode(),
+        ]
+        valid = json.dumps(request_to_dict(_request(1, "after"))).encode()
+
+        async def run():
+            async with AdmissionFrontend(FrontendConfig(shards=1)) as fe:
+                return await _exchange(fe, bad_lines + [valid])
+
+        replies = asyncio.run(run())
+        assert len(replies) == len(bad_lines) + 1
+        for reply in replies[:-1]:
+            assert set(reply) == {"error"}
+            assert reply["error"].startswith("bad request line: ")
+        assert "execution_time" in replies[3]["error"]
+        assert replies[-1]["request_id"] == "after"
+        assert replies[-1]["admitted"] == compute_decision(
+            _request(1)
+        ).admitted
+
+    def test_error_replies_are_unchanged(self):
+        """Byte-for-byte the replies the server gave before lines were
+        keyed ahead of their build."""
+        system = {
+            "format": "repro-system-v1",
+            "name": "p",
+            "tasks": [{
+                "period": 10,
+                "subtasks": [{"execution_time": 2, "processor": "P1"}],
+            }],
+        }
+
+        def request_line(**options):
+            return json.dumps({
+                "format": "repro-admission-request-v1",
+                "system": system,
+                **options,
+            }).encode()
+
+        def system_line(**task):
+            entry = dict(system["tasks"][0], **task)
+            return json.dumps(
+                {"format": "repro-system-v1", "tasks": [entry]}
+            ).encode()
+
+        cases = [
+            (b"this is not json",
+             "Expecting value: line 1 column 1 (char 0)"),
+            (b'{"format": "nope"}',
+             "not a repro-admission-request-v1 document (format='nope')"),
+            (b'{"format": "repro-system-v1"}', "'tasks'"),
+            (system_line(period="abc"),
+             "could not convert string to float: 'abc'"),
+            (system_line(subtasks=[{"execution_time": 1}]), "'processor'"),
+            (system_line(subtasks=5), "'int' object is not iterable"),
+            (request_line(protocols=["XX"]),
+             "unknown protocol(s) ['XX']; expected a subset of "
+             "DS/PM/MPM/RG"),
+            (request_line(protocols=[]),
+             "an admission request needs at least one candidate protocol"),
+            (request_line(sa_ds_max_iterations=0),
+             "sa_ds_max_iterations must be >= 1, got 0"),
+            (request_line(clock_rate_bound=1.5),
+             "clock_rate_bound must be in [0, 1), got 1.5"),
+            (request_line(clock_jump_bound=-1),
+             "clock_jump_bound must be finite and >= 0, got -1.0"),
+            (request_line(clock_rate_bound="fast"),
+             "could not convert string to float: 'fast'"),
+            (b'{"format": "repro-admission-request-v1"}', "'system'"),
+            (request_line(protocols=7), "'int' object is not iterable"),
+        ]
+
+        async def run():
+            async with AdmissionFrontend(FrontendConfig(shards=1)) as fe:
+                return await _exchange(
+                    fe, [line for line, _ in cases], raw=True
+                )
+
+        replies = asyncio.run(run())
+        assert replies == [
+            (
+                json.dumps(
+                    {"error": f"bad request line: {message}"},
+                    sort_keys=True,
+                )
+                + "\n"
+            ).encode()
+            for _, message in cases
+        ]
+
+    def test_wire_hit_matches_in_process_admit(self, monkeypatch):
+        """A hit served from the document leaves the same decision and
+        the same counters as an in-process admit, and builds nothing."""
+        request = _request(4, "twin")
+        line = json.dumps(request_to_dict(request)).encode()
+        built = []
+        real_from_dict = frontend_module.request_from_dict
+
+        def counting_from_dict(document):
+            built.append(document)
+            return real_from_dict(document)
+
+        monkeypatch.setattr(
+            frontend_module, "request_from_dict", counting_from_dict
+        )
+
+        async def in_process():
+            async with AdmissionFrontend(FrontendConfig(shards=2)) as fe:
+                await fe.admit(request)
+                hit = await fe.admit(request)
+                return decision_to_dict(hit), fe.snapshot()
+
+        async def over_the_wire():
+            async with AdmissionFrontend(FrontendConfig(shards=2)) as fe:
+                await fe.admit(request)
+                (reply,) = await _exchange(fe, [line])
+                return reply, fe.snapshot()
+
+        expected, expected_snapshot = asyncio.run(in_process())
+        reply, snapshot = asyncio.run(over_the_wire())
+        assert built == []
+        assert reply == expected
+        assert _counters(snapshot) == _counters(expected_snapshot)
+        assert snapshot["cache"]["hits"] == 1
+
+    def test_invalid_line_takes_no_quota_token(self):
+        request = _request(5, "q", tenant="t")
+        line = json.dumps(request_to_dict(request)).encode()
+        invalid = request_to_dict(request)
+        invalid["system"]["tasks"][0]["period"] = 0
+        config = FrontendConfig(
+            shards=1,
+            tenant_quotas={"t": TenantQuota(rate=0.001, burst=2)},
+        )
+
+        async def run():
+            async with AdmissionFrontend(config) as fe:
+                replies = await _exchange(
+                    fe,
+                    # miss (token 1), invalid x2 (no token), hit (token
+                    # 2), hit refused by the quota
+                    [line, json.dumps(invalid).encode()] * 2 + [line],
+                )
+                return replies, fe.snapshot()
+
+        replies, snapshot = asyncio.run(run())
+        miss, bad, hit, bad_again, shed = replies
+        assert "error" in bad and "error" in bad_again
+        assert hit == miss
+        assert shed["rationale"].startswith("service shed: tenant 't'")
+        assert shed["request_id"] == "q"
+        assert shed["system_name"] == request.system.name
+        assert shed["schedulable"] == {p: False for p in request.protocols}
+        assert snapshot["aggregate"]["shed"] == 1
+        assert snapshot["aggregate"]["requests"] == 2
+        assert snapshot["cache"]["hits"] == 1
+
+
+async def _exchange(frontend, lines, *, raw=False):
+    """Send ``lines`` on one connection; the replies, in order."""
+    server = await serve_frontend(frontend, port=0)
+    port = server.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        for line in lines:
+            writer.write(line + b"\n")
+        await writer.drain()
+        replies = [
+            await asyncio.wait_for(reader.readline(), 30) for _ in lines
+        ]
+    finally:
+        writer.close()
+        server.close()
+        await server.wait_closed()
+    return replies if raw else [json.loads(reply) for reply in replies]
+
+
+def _counters(snapshot: dict) -> dict:
+    """A snapshot without its timing-dependent latency figures."""
+
+    def strip(metrics: dict) -> dict:
+        return {
+            name: value
+            for name, value in metrics.items()
+            if not name.startswith("latency")
+        }
+
+    return {
+        **snapshot,
+        "aggregate": strip(snapshot["aggregate"]),
+        "shards": [strip(shard) for shard in snapshot["shards"]],
+    }

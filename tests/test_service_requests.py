@@ -98,6 +98,36 @@ class TestJsonl:
         with pytest.raises(ConfigurationError, match=":1:"):
             load_requests_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "bad_line, why",
+        [
+            ("[1, 2]", "a JSON list"),
+            ("42", "a JSON int"),
+            ("{not json}", "Expecting property name"),
+            ("INVALID_SYSTEM", "execution_time"),
+            ("UNKNOWN_PROTOCOL", "unknown protocol"),
+        ],
+    )
+    def test_every_bad_line_reports_its_position(
+        self, tmp_path, small_system, bad_line, why
+    ):
+        valid = json.dumps(system_to_dict(small_system))
+        document = request_to_dict(AdmissionRequest(system=small_system))
+        if bad_line == "INVALID_SYSTEM":
+            stage = document["system"]["tasks"][0]["subtasks"][0]
+            stage["execution_time"] = -1
+            bad_line = json.dumps(document)
+        elif bad_line == "UNKNOWN_PROTOCOL":
+            document["protocols"] = ["XX"]
+            bad_line = json.dumps(document)
+        path = tmp_path / "requests.jsonl"
+        path.write_text(f"{valid}\n\n{bad_line}\n{valid}\n")
+        with pytest.raises(ConfigurationError) as info:
+            load_requests_jsonl(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:3: bad admission request line: ")
+        assert why in message
+
     def test_decisions_round_trip(self, tmp_path, small_system, example2):
         decisions = [
             compute_decision(AdmissionRequest(system=small_system)),
