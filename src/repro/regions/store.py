@@ -3,35 +3,25 @@
 The region cache is the tier *above* the decision cache: a decision
 cache entry answers one exact request; a region answers every request
 of one shape whose execution vector lands inside the verified box.
-The stores here deliberately mirror the decision-cache contract of
-:mod:`repro.service.cache` / :mod:`repro.service.backends` --
-``get``/``put``/``stats``/``save``/``load``, LRU eviction, process-local
-counters, a config-driven factory -- so everything operators learned
-about the decision tier (capacity planning, persistence, the sqlite/WAL
-sharing model) transfers unchanged.
+The stores here are the decision cache's own store contract
+(:mod:`repro.service.store`) bound to regions, so everything operators
+learned about the decision tier (capacity planning, persistence, the
+sqlite/WAL sharing model) transfers unchanged.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from collections import OrderedDict
-from pathlib import Path
-
-from repro.errors import ConfigurationError
 from repro.regions.region import (
     FeasibilityRegion,
     region_from_dict,
     region_to_dict,
 )
-from repro.service.cache import CacheStats
-from repro.service.durability import (
-    FSYNC_POLICIES,
-    RecoveryReport,
-    atomic_write_text,
-    frame_line,
-    load_jsonl_salvaging,
-    open_sqlite_checked,
+from repro.service.store import (
+    BACKENDS,
+    Codec,
+    MemoryStore,
+    SqliteStore,
+    make_store,
 )
 
 __all__ = [
@@ -42,423 +32,53 @@ __all__ = [
 ]
 
 #: Recognized ``make_region_store`` backend names.
-REGION_BACKENDS: tuple[str, ...] = ("memory", "sqlite")
+REGION_BACKENDS: tuple[str, ...] = BACKENDS
 
-_PERSIST_FORMAT = "repro-region-store-v1"
+#: ``{"format", "shape_key", "region"}`` snapshot records and the
+#: sqlite ``regions (shape_key, region, seq)`` table.
+_CODEC: Codec[FeasibilityRegion] = Codec(
+    format="repro-region-store-v1",
+    key="shape_key",
+    value="region",
+    table="regions",
+    label="region store",
+    to_dict=region_to_dict,
+    from_dict=region_from_dict,
+)
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS regions (
-    shape_key TEXT PRIMARY KEY,
-    region TEXT NOT NULL,
-    seq INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS regions_seq ON regions (seq);
-"""
 
-
-class MemoryRegionStore:
+class MemoryRegionStore(MemoryStore[FeasibilityRegion]):
     """LRU-bounded, thread-safe map from shape key to region.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of regions retained; least recently used first
-        out.  Regions are a few hundred bytes each but *expensive to
-        rebuild*, so capacities err large by default.
-    path:
-        Optional JSONL persistence file (one ``{"shape_key": ...,
-        "region": ...}`` object per line).  When given and present the
-        store warm-starts from it; :meth:`save` rewrites it atomically.
-    fsync:
-        Snapshot fsync policy, one of
-        :data:`repro.service.durability.FSYNC_POLICIES`.
+    The :class:`~repro.service.store.MemoryStore` contract bound to
+    regions.  Regions are a few hundred bytes each but *expensive to
+    rebuild*, so capacities err large by default.
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        *,
-        path: str | Path | None = None,
-        fsync: str = "data",
-    ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(
-                f"region store capacity must be >= 1, got {capacity}"
-            )
-        if fsync not in FSYNC_POLICIES:
-            raise ConfigurationError(
-                f"unknown fsync policy {fsync!r}; expected one of "
-                f"{'/'.join(FSYNC_POLICIES)}"
-            )
-        self._capacity = capacity
-        self._entries: OrderedDict[str, FeasibilityRegion] = OrderedDict()
-        self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._fsync = fsync
-        self.last_recovery: RecoveryReport | None = None
-        self.integrity_failures = 0  # uniform backend-health surface
-        self._path = None if path is None else Path(path)
-        if self._path is not None and self._path.exists():
-            self.load(self._path)
-
-    # ------------------------------------------------------------------
-    # Core map operations
-    # ------------------------------------------------------------------
-    def get(self, shape_key: str) -> FeasibilityRegion | None:
-        """The stored region for a shape, or None; counts hit/miss."""
-        with self._lock:
-            region = self._entries.get(shape_key)
-            if region is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(shape_key)
-            self._hits += 1
-            return region
-
-    def put(self, shape_key: str, region: FeasibilityRegion) -> None:
-        """Store (or refresh) a region, evicting LRU entries if full."""
-        with self._lock:
-            if shape_key in self._entries:
-                self._entries.move_to_end(shape_key)
-            self._entries[shape_key] = region
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def __contains__(self, shape_key: str) -> bool:
-        """Membership without touching recency or the counters."""
-        with self._lock:
-            return shape_key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def keys(self) -> tuple[str, ...]:
-        """Current shape keys, least recently used first."""
-        with self._lock:
-            return tuple(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                capacity=self._capacity,
-            )
-
-    # ------------------------------------------------------------------
-    # Persistence (warm restarts)
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path | None = None) -> Path:
-        """Snapshot every region as CRC-framed JSONL, LRU first.
-
-        Atomic (temp file + rename under the constructor's fsync
-        policy); a crash mid-save leaves the previous complete
-        snapshot.  Returns the path written.
-        """
-        target = Path(path) if path is not None else self._path
-        if target is None:
-            raise ConfigurationError(
-                "no persistence path: pass one to save() or the constructor"
-            )
-        with self._lock:
-            lines = [
-                frame_line(
-                    json.dumps(
-                        {
-                            "format": _PERSIST_FORMAT,
-                            "shape_key": shape_key,
-                            "region": region_to_dict(region),
-                        },
-                        sort_keys=True,
-                    )
-                )
-                for shape_key, region in self._entries.items()
-            ]
-        return atomic_write_text(
-            target,
-            "\n".join(lines) + ("\n" if lines else ""),
-            fsync=self._fsync,
-        )
-
-    def load(self, path: str | Path) -> int:
-        """Merge entries from a :meth:`save` file; returns the count.
-
-        A torn or truncated tail (crash mid-append) is salvaged: the
-        valid prefix loads, the damage is logged and reported in
-        ``last_recovery``.  Foreign-format lines and well-formed
-        records that fail to apply still raise
-        :class:`ConfigurationError` (wrong file / writer bug, not
-        storage damage).  Legacy unframed files load too.
-        """
-
-        def apply(entry: dict) -> None:
-            self.put(
-                entry["shape_key"], region_from_dict(entry["region"])
-            )
-
-        report = load_jsonl_salvaging(
-            path,
-            expected_format=_PERSIST_FORMAT,
-            apply=apply,
-            label="region",
-        )
-        self.last_recovery = report
-        return report.loaded
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Flush to the constructor's persistence path, if any."""
-        if self._path is not None:
-            self.save()
-
-    def __enter__(self) -> "MemoryRegionStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    codec = _CODEC
 
 
-class SqliteRegionStore:
+class SqliteRegionStore(SqliteStore[FeasibilityRegion]):
     """LRU region store on sqlite/WAL; same interface as the memory one.
 
-    Like :class:`repro.service.backends.SqliteDecisionCache`: a real
-    path is durable and shareable between frontend processes on one
-    host, ``":memory:"`` is private; recency is a monotone ``seq``
-    column bumped on every hit; counters are process-local.
+    The :class:`~repro.service.store.SqliteStore` contract bound to
+    regions, exactly as
+    :class:`~repro.service.backends.SqliteDecisionCache` binds it to
+    decisions.
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        *,
-        db_path: str | Path = ":memory:",
-        rebuild_from: str | Path | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(
-                f"region store capacity must be >= 1, got {capacity}"
-            )
-        self._capacity = capacity
-        self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._db_path = str(db_path)
-        self._closed = False
-        self.last_recovery: RecoveryReport | None = None
-        self.integrity_failures = 0
-        self._conn, quarantined = open_sqlite_checked(
-            self._db_path, _SCHEMA
-        )
-        if quarantined is not None:
-            self.integrity_failures += 1
-            loaded = 0
-            if (
-                rebuild_from is not None
-                and Path(rebuild_from).exists()
-            ):
-                loaded = self.load(rebuild_from)
-            self.last_recovery = RecoveryReport(
-                path=self._db_path,
-                kind="sqlite",
-                loaded=loaded,
-                reason="integrity check failed; rebuilt from snapshot"
-                if loaded
-                else "integrity check failed; no snapshot to rebuild from",
-                quarantined=quarantined,
-            )
-
-    def _next_seq(self) -> int:
-        row = self._conn.execute(
-            "SELECT COALESCE(MAX(seq), 0) + 1 FROM regions"
-        ).fetchone()
-        return int(row[0])
-
-    def get(self, shape_key: str) -> FeasibilityRegion | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT region FROM regions WHERE shape_key = ?",
-                (shape_key,),
-            ).fetchone()
-            if row is None:
-                self._misses += 1
-                return None
-            self._conn.execute(
-                "UPDATE regions SET seq = ? WHERE shape_key = ?",
-                (self._next_seq(), shape_key),
-            )
-            self._conn.commit()
-            self._hits += 1
-            return region_from_dict(json.loads(row[0]))
-
-    def put(self, shape_key: str, region: FeasibilityRegion) -> None:
-        encoded = json.dumps(region_to_dict(region), sort_keys=True)
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO regions (shape_key, region, seq) "
-                "VALUES (?, ?, ?) ON CONFLICT(shape_key) DO UPDATE SET "
-                "region = excluded.region, seq = excluded.seq",
-                (shape_key, encoded, self._next_seq()),
-            )
-            over = len(self) - self._capacity
-            if over > 0:
-                self._conn.execute(
-                    "DELETE FROM regions WHERE shape_key IN ("
-                    "SELECT shape_key FROM regions ORDER BY seq LIMIT ?)",
-                    (over,),
-                )
-                self._evictions += over
-            self._conn.commit()
-
-    def __contains__(self, shape_key: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM regions WHERE shape_key = ?", (shape_key,)
-            ).fetchone()
-            return row is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) FROM regions"
-            ).fetchone()
-            return int(row[0])
-
-    def keys(self) -> tuple[str, ...]:
-        """Current shape keys, least recently used first."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT shape_key FROM regions ORDER BY seq"
-            ).fetchall()
-            return tuple(row[0] for row in rows)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM regions")
-            self._conn.commit()
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self),
-                capacity=self._capacity,
-            )
-
-    # ------------------------------------------------------------------
-    # Persistence interop (JSONL, compatible with MemoryRegionStore)
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path, *, fsync: str = "data") -> Path:
-        """Export to the memory store's JSONL format (LRU first).
-
-        CRC-framed and atomic, like the memory store -- this snapshot
-        is also what a corrupt database rebuilds from.
-        """
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT shape_key, region FROM regions ORDER BY seq"
-            ).fetchall()
-        lines = [
-            frame_line(
-                json.dumps(
-                    {
-                        "format": _PERSIST_FORMAT,
-                        "shape_key": shape_key,
-                        "region": json.loads(encoded),
-                    },
-                    sort_keys=True,
-                )
-            )
-            for shape_key, encoded in rows
-        ]
-        return atomic_write_text(
-            path, "\n".join(lines) + ("\n" if lines else ""), fsync=fsync
-        )
-
-    def load(self, path: str | Path) -> int:
-        """Merge a memory-store JSONL file; returns entries loaded.
-
-        Salvage semantics match the memory store (the staging store
-        does the framing/validation); its :class:`RecoveryReport`
-        surfaces as ``last_recovery``.
-        """
-        staging = MemoryRegionStore(capacity=max(1, self._capacity))
-        loaded = staging.load(path)
-        for shape_key in staging.keys():
-            region = staging.get(shape_key)
-            assert region is not None
-            self.put(shape_key, region)
-        self.last_recovery = staging.last_recovery
-        return loaded
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the connection (idempotent; safe on error paths)."""
-        with self._lock:
-            if not self._closed:
-                self._conn.close()
-                self._closed = True
-
-    def __enter__(self) -> "SqliteRegionStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    codec = _CODEC
 
 
 def make_region_store(
-    backend: str = "memory",
-    *,
-    capacity: int = 1024,
-    path: str | Path | None = None,
-    fsync: str = "data",
-    rebuild_from: str | Path | None = None,
-):
+    backend: str = "memory", *, capacity: int = 1024, **options
+) -> MemoryRegionStore | SqliteRegionStore:
     """Build a region store from configuration.
 
-    ``backend="memory"`` gives the in-process LRU (``path`` is its
-    JSONL warm-start/persistence file, ``fsync`` its snapshot policy);
-    ``backend="sqlite"`` gives the shared WAL-backed store (``path`` is
-    the database file, default private in-memory; ``rebuild_from`` an
-    optional JSONL snapshot restored after quarantining corruption).
+    ``path``, ``fsync`` and ``rebuild_from`` mean what they mean to
+    :func:`repro.service.store.make_store`.
     """
-    if backend == "memory":
-        return MemoryRegionStore(capacity=capacity, path=path, fsync=fsync)
-    if backend == "sqlite":
-        return SqliteRegionStore(
-            capacity=capacity,
-            db_path=":memory:" if path is None else path,
-            rebuild_from=rebuild_from,
-        )
-    raise ConfigurationError(
-        f"unknown region store backend {backend!r}; expected one of "
-        f"{'/'.join(REGION_BACKENDS)}"
+    return make_store(
+        backend, MemoryRegionStore, SqliteRegionStore, capacity=capacity,
+        **options,
     )

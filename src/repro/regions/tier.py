@@ -273,9 +273,7 @@ class RegionTier:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the underlying store (flushes file-backed stores)."""
-        close = getattr(self.store, "close", None)
-        if close is not None:
-            close()
+        self.store.close()
 
     def __enter__(self) -> "RegionTier":
         return self

@@ -14,6 +14,8 @@ procedure:
   table that collapses concurrent misses on one key;
 * :mod:`repro.service.backends` -- pluggable cache backends behind the
   same interface (in-proc LRU, sqlite/WAL) via :func:`make_cache`;
+* :mod:`repro.service.store` -- the one store contract (memory LRU,
+  sqlite/WAL, JSONL snapshots) both caches and region stores bind;
 * :mod:`repro.service.engine` -- the :class:`AdmissionController`
   (analyses + Section 6 advisor behind the cache);
 * :mod:`repro.service.batch` -- batch admission over a process pool

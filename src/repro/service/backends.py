@@ -10,9 +10,8 @@ same interface (``get``/``put``/``stats``/``save``/``load``/
 * several frontend processes on one host share one decision store, and
 * the store survives crashes (WAL journalling, synchronous=NORMAL).
 
-Recency is a monotonically increasing ``seq`` column bumped on every
-hit, so eviction is LRU like the in-process backend.  Hit/miss/eviction
-counters are process-local (counters are observability, not state).
+Both are bindings of the one store contract in
+:mod:`repro.service.store` (recency, eviction, snapshots, quarantine).
 
 :func:`make_cache` is the config-driven factory the frontend and the
 CLI use: ``backend="memory"`` or ``backend="sqlite"``; anything else is
@@ -21,287 +20,35 @@ a configuration error, never a silent default.
 
 from __future__ import annotations
 
-import json
-import threading
-from pathlib import Path
-
-from repro.errors import ConfigurationError
-from repro.service.cache import (
-    _PERSIST_FORMAT,
-    CacheStats,
-    DecisionCache,
-    SingleFlight,
-)
-from repro.service.durability import (
-    RecoveryReport,
-    atomic_write_text,
-    frame_line,
-    open_sqlite_checked,
-)
-from repro.service.requests import (
-    AdmissionDecision,
-    decision_from_dict,
-    decision_to_dict,
-)
+from repro.service.cache import DecisionCache, _DecisionBinding
+from repro.service.requests import AdmissionDecision
+from repro.service.store import BACKENDS, SqliteStore, make_store
 
 __all__ = ["CACHE_BACKENDS", "SqliteDecisionCache", "make_cache"]
 
 #: Recognized ``make_cache`` backend names.
-CACHE_BACKENDS: tuple[str, ...] = ("memory", "sqlite")
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS decisions (
-    key TEXT PRIMARY KEY,
-    decision TEXT NOT NULL,
-    seq INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS decisions_seq ON decisions (seq);
-"""
+CACHE_BACKENDS: tuple[str, ...] = BACKENDS
 
 
-class SqliteDecisionCache:
+class SqliteDecisionCache(_DecisionBinding, SqliteStore[AdmissionDecision]):
     """LRU decision cache on sqlite/WAL; same interface as DecisionCache.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of decisions retained (LRU eviction by ``seq``).
-    db_path:
-        The sqlite file.  ``":memory:"`` gives a private in-memory
-        database (useful in tests); a real path is durable and shared.
-    rebuild_from:
-        Optional JSONL snapshot (a :meth:`save` file from any cache
-        backend).  When opening ``db_path`` finds corruption (``PRAGMA
-        integrity_check`` fails), the damaged file is quarantined, a
-        fresh database is started, and -- if this snapshot exists --
-        the cache rebuilds from it; ``last_recovery`` reports all of
-        it and ``integrity_failures`` counts the corruption events.
+    The :class:`~repro.service.store.SqliteStore` contract
+    (``capacity``, ``db_path``, ``rebuild_from``, ``fsync``; ``capacity``
+    defaults to 4096) bound to decisions, with the same ``flights``
+    table as :class:`~repro.service.cache.DecisionCache`.
     """
-
-    def __init__(
-        self,
-        capacity: int = 4096,
-        *,
-        db_path: str | Path = ":memory:",
-        rebuild_from: str | Path | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(
-                f"cache capacity must be >= 1, got {capacity}"
-            )
-        self._capacity = capacity
-        self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self.flights = SingleFlight()
-        self._db_path = str(db_path)
-        self._closed = False
-        self.last_recovery: RecoveryReport | None = None
-        self.integrity_failures = 0
-        self._conn, quarantined = open_sqlite_checked(
-            self._db_path, _SCHEMA
-        )
-        if quarantined is not None:
-            self.integrity_failures += 1
-            loaded = 0
-            if (
-                rebuild_from is not None
-                and Path(rebuild_from).exists()
-            ):
-                loaded = self.load(rebuild_from)
-            self.last_recovery = RecoveryReport(
-                path=self._db_path,
-                kind="sqlite",
-                loaded=loaded,
-                reason="integrity check failed; rebuilt from snapshot"
-                if loaded
-                else "integrity check failed; no snapshot to rebuild from",
-                quarantined=quarantined,
-            )
-
-    # ------------------------------------------------------------------
-    # Core map operations (DecisionCache interface)
-    # ------------------------------------------------------------------
-    def _next_seq(self) -> int:
-        row = self._conn.execute(
-            "SELECT COALESCE(MAX(seq), 0) + 1 FROM decisions"
-        ).fetchone()
-        return int(row[0])
-
-    def get(self, key: str) -> AdmissionDecision | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT decision FROM decisions WHERE key = ?", (key,)
-            ).fetchone()
-            if row is None:
-                self._misses += 1
-                return None
-            self._conn.execute(
-                "UPDATE decisions SET seq = ? WHERE key = ?",
-                (self._next_seq(), key),
-            )
-            self._conn.commit()
-            self._hits += 1
-            return decision_from_dict(json.loads(row[0]))
-
-    def put(self, key: str, decision: AdmissionDecision) -> None:
-        encoded = json.dumps(decision_to_dict(decision), sort_keys=True)
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO decisions (key, decision, seq) "
-                "VALUES (?, ?, ?) ON CONFLICT(key) DO UPDATE SET "
-                "decision = excluded.decision, seq = excluded.seq",
-                (key, encoded, self._next_seq()),
-            )
-            over = len(self) - self._capacity
-            if over > 0:
-                self._conn.execute(
-                    "DELETE FROM decisions WHERE key IN ("
-                    "SELECT key FROM decisions ORDER BY seq LIMIT ?)",
-                    (over,),
-                )
-                self._evictions += over
-            self._conn.commit()
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM decisions WHERE key = ?", (key,)
-            ).fetchone()
-            return row is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) FROM decisions"
-            ).fetchone()
-            return int(row[0])
-
-    def keys(self) -> tuple[str, ...]:
-        """Current keys, least recently used first."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT key FROM decisions ORDER BY seq"
-            ).fetchall()
-            return tuple(row[0] for row in rows)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM decisions")
-            self._conn.commit()
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self),
-                capacity=self._capacity,
-                coalesced=self.flights.coalesced,
-            )
-
-    # ------------------------------------------------------------------
-    # Persistence interop (JSONL, compatible with DecisionCache files)
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path, *, fsync: str = "data") -> Path:
-        """Export to the DecisionCache JSONL format (LRU first).
-
-        CRC-framed and written atomically, like
-        :meth:`repro.service.cache.DecisionCache.save` -- the snapshot
-        is also what :class:`SqliteDecisionCache` rebuilds from after
-        quarantining a corrupt database.
-        """
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT key, decision FROM decisions ORDER BY seq"
-            ).fetchall()
-        lines = [
-            frame_line(
-                json.dumps(
-                    {
-                        "format": _PERSIST_FORMAT,
-                        "key": key,
-                        "decision": json.loads(encoded),
-                    },
-                    sort_keys=True,
-                )
-            )
-            for key, encoded in rows
-        ]
-        return atomic_write_text(
-            path, "\n".join(lines) + ("\n" if lines else ""), fsync=fsync
-        )
-
-    def load(self, path: str | Path) -> int:
-        """Merge a DecisionCache JSONL file; returns entries loaded.
-
-        Same salvage semantics as the in-process cache (the staging
-        cache does the framing/validation work); the staging load's
-        :class:`RecoveryReport` is surfaced as ``last_recovery``.
-        """
-        # Reuse the reference implementation's line validation by
-        # staging through an in-process cache, then bulk-insert.
-        staging = DecisionCache(capacity=max(1, self._capacity))
-        loaded = staging.load(path)
-        for key in staging.keys():
-            decision = staging.get(key)
-            assert decision is not None
-            self.put(key, decision)
-        self.last_recovery = staging.last_recovery
-        return loaded
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the connection (idempotent; safe on error paths)."""
-        with self._lock:
-            if not self._closed:
-                self._conn.close()
-                self._closed = True
-
-    def __enter__(self) -> "SqliteDecisionCache":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def make_cache(
-    backend: str = "memory",
-    *,
-    capacity: int = 4096,
-    path: str | Path | None = None,
-    fsync: str = "data",
-    rebuild_from: str | Path | None = None,
+    backend: str = "memory", *, capacity: int = 4096, **options
 ) -> DecisionCache | SqliteDecisionCache:
     """Build a decision cache from configuration.
 
-    ``backend="memory"`` gives the in-process LRU (``path`` is its JSONL
-    warm-start/persistence file, ``fsync`` its snapshot policy);
-    ``backend="sqlite"`` gives the shared WAL-backed store (``path`` is
-    the database file, default private in-memory; ``rebuild_from`` an
-    optional JSONL snapshot to rebuild from after quarantining a
-    corrupt database).
+    ``path``, ``fsync`` and ``rebuild_from`` mean what they mean to
+    :func:`repro.service.store.make_store`.
     """
-    if backend == "memory":
-        return DecisionCache(capacity=capacity, path=path, fsync=fsync)
-    if backend == "sqlite":
-        return SqliteDecisionCache(
-            capacity=capacity,
-            db_path=":memory:" if path is None else path,
-            rebuild_from=rebuild_from,
-        )
-    raise ConfigurationError(
-        f"unknown cache backend {backend!r}; expected one of "
-        f"{'/'.join(CACHE_BACKENDS)}"
+    return make_store(
+        backend, DecisionCache, SqliteDecisionCache, capacity=capacity,
+        **options,
     )

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 
 __all__ = [
     "FSYNC_POLICIES",
@@ -178,7 +178,10 @@ def load_jsonl_salvaging(
     deliberately: a *parseable* record whose ``format`` field is
     foreign (wrong file -- salvaging would quietly merge two stores),
     and a well-formed record ``apply`` cannot use (a writer bug, not
-    storage damage).
+    storage damage).  The latter is reported as ``<path>:<line>: bad
+    <label> line`` when ``apply`` raises a ``KeyError``, ``TypeError``,
+    ``ValueError``, ``AttributeError`` or other :class:`ReproError`; a
+    :class:`ConfigurationError` from ``apply`` propagates as raised.
     """
     source = Path(path)
     lines = source.read_text().splitlines()
@@ -209,12 +212,11 @@ def load_jsonl_salvaging(
                 reason=bad_reason,
             )
             logger.warning(
-                "torn/corrupt %s file %s: salvaged %d %s(s), "
+                "torn/corrupt %s file %s: salvaged %d record(s), "
                 "dropped %d from line %d (%s)",
                 label,
                 source,
                 loaded,
-                label,
                 dropped,
                 number,
                 bad_reason,
@@ -229,7 +231,9 @@ def load_jsonl_salvaging(
             apply(entry)
         except ConfigurationError:
             raise
-        except (KeyError, TypeError) as exc:
+        except (
+            KeyError, TypeError, ValueError, AttributeError, ReproError
+        ) as exc:
             raise ConfigurationError(
                 f"{source}:{number}: bad {label} line: {exc}"
             ) from exc

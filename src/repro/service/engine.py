@@ -26,6 +26,7 @@ from repro.service.cache import CacheStats, DecisionCache
 from repro.service.hashing import request_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import AdmissionDecision, AdmissionRequest
+from repro.service.store import close_all
 
 __all__ = ["AdmissionController", "compute_decision"]
 
@@ -232,21 +233,10 @@ class AdmissionController:
         elif region_tier is not None and region_tier.metrics is None:
             region_tier.metrics = self.metrics
         self.regions = region_tier
-        # Surface warm-start damage (salvage/quarantine) in metrics.
-        for store in (
+        self.metrics.record_store_health(
             self.cache,
             self.regions.store if self.regions is not None else None,
-        ):
-            if store is None:
-                continue
-            report = getattr(store, "last_recovery", None)
-            if report is not None and not report.clean:
-                self.metrics.record_recovery(
-                    salvaged=report.salvaged, dropped=report.dropped
-                )
-            failures = getattr(store, "integrity_failures", 0)
-            if failures:
-                self.metrics.record_integrity_failure(failures)
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -254,18 +244,14 @@ class AdmissionController:
     def close(self) -> None:
         """Close backends this controller built (idempotent).
 
-        File-backed stores flush their snapshots; ``try/finally`` so a
-        cache-close failure cannot leak the region store's connection.
-        Caller-passed backends are the caller's to close.
+        File-backed stores flush their snapshots; a cache-close failure
+        cannot leak the region store's connection.  Caller-passed
+        backends are the caller's to close.
         """
-        try:
-            if self._owns_cache and self.cache is not None:
-                close = getattr(self.cache, "close", None)
-                if close is not None:
-                    close()
-        finally:
-            if self._owns_regions and self.regions is not None:
-                self.regions.close()
+        close_all(
+            self.cache if self._owns_cache else None,
+            self.regions if self._owns_regions else None,
+        )
 
     def __enter__(self) -> "AdmissionController":
         return self

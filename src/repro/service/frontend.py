@@ -59,6 +59,7 @@ from repro.service.requests import (
     request_from_dict,
 )
 from repro.service.sharding import ShardRing
+from repro.service.store import close_all
 
 __all__ = [
     "AdmissionFrontend",
@@ -391,25 +392,10 @@ class AdmissionFrontend:
         self._shards: list[_Shard] = []
         self._wait_pool: ThreadPoolExecutor | None = None
         self._started = False
-        # Surface warm-start damage (salvage/quarantine) in metrics so
-        # --stats shows it even when recovery succeeded silently.
-        self._absorb_store_health(self.cache)
-        self._absorb_store_health(
-            self.regions.store if self.regions is not None else None
+        self.metrics.record_store_health(
+            self.cache,
+            self.regions.store if self.regions is not None else None,
         )
-
-    def _absorb_store_health(self, store) -> None:
-        """Fold a backend's recovery/integrity state into the metrics."""
-        if store is None:
-            return
-        report = getattr(store, "last_recovery", None)
-        if report is not None and not report.clean:
-            self.metrics.record_recovery(
-                salvaged=report.salvaged, dropped=report.dropped
-            )
-        failures = getattr(store, "integrity_failures", 0)
-        if failures:
-            self.metrics.record_integrity_failure(failures)
 
     def _make_breaker(self, shard: _Shard) -> CircuitBreaker | None:
         if self.config.breaker_failures <= 0:
@@ -505,7 +491,12 @@ class AdmissionFrontend:
                     self._wait_pool.shutdown(
                         wait=False, cancel_futures=True
                     )
-                self._close_backends()
+                # Stores this frontend built; caller-passed ones are
+                # the caller's to close.
+                close_all(
+                    self.cache if self._owns_cache else None,
+                    self.regions if self._owns_regions else None,
+                )
 
     def _shed_queue(self, shard: _Shard) -> None:
         """Resolve everything queued on ``shard`` as explicit sheds."""
@@ -531,19 +522,6 @@ class AdmissionFrontend:
                         "at drain",
                     )
                 )
-
-    def _close_backends(self) -> None:
-        """Close stores this frontend built (caller-passed ones are
-        the caller's to close); ``try/finally`` so one failure cannot
-        leak the other backend."""
-        try:
-            if self._owns_cache and self.cache is not None:
-                close = getattr(self.cache, "close", None)
-                if close is not None:
-                    close()
-        finally:
-            if self._owns_regions and self.regions is not None:
-                self.regions.close()
 
     async def __aenter__(self) -> "AdmissionFrontend":
         return await self.start()

@@ -176,6 +176,26 @@ class ServiceMetrics:
         with self._lock:
             self._integrity_failures += count
 
+    def record_store_health(self, *stores) -> None:
+        """Fold each store's warm-start damage into the counters.
+
+        A store's ``last_recovery`` (salvage of a torn snapshot) and
+        ``integrity_failures`` (sqlite quarantines) land here, so
+        ``--stats`` shows damage even when recovery succeeded silently.
+        ``None`` entries (a disabled tier) are skipped.
+        """
+        for store in stores:
+            if store is None:
+                continue
+            report = getattr(store, "last_recovery", None)
+            if report is not None and not report.clean:
+                self.record_recovery(
+                    salvaged=report.salvaged, dropped=report.dropped
+                )
+            failures = getattr(store, "integrity_failures", 0)
+            if failures:
+                self.record_integrity_failure(failures)
+
     def record_breaker_open(self) -> None:
         """Account one shard breaker tripping open."""
         with self._lock:

@@ -8,12 +8,14 @@ starts a sqlite store and vice versa, Fractions included.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from store_contract import GOLDEN, SqliteContract, StoreBinding, StoreContract
 
 from repro.errors import ConfigurationError
-from repro.regions.region import FeasibilityRegion
+from repro.regions.region import FeasibilityRegion, region_to_dict
 from repro.regions.store import (
     REGION_BACKENDS,
     MemoryRegionStore,
@@ -45,14 +47,67 @@ def _exact_region(tag: str) -> FeasibilityRegion:
     )
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def store(request, tmp_path):
-    if request.param == "memory":
+#: The region table exactly as the pre-unification store created it.
+PARENT_SCHEMA = """
+CREATE TABLE IF NOT EXISTS regions (
+    shape_key TEXT PRIMARY KEY,
+    region TEXT NOT NULL,
+    seq INTEGER NOT NULL
+);
+CREATE INDEX IF NOT EXISTS regions_seq ON regions (seq);
+"""
+
+
+def golden_regions() -> list[tuple[str, FeasibilityRegion]]:
+    """Fixed regions (exact Fractions, inf and empty corners)."""
+    regions = [
+        _region("a"),
+        FeasibilityRegion(
+            shape_key="shape-inf",
+            timebase="float",
+            dimensions=("T1,1", "T2,1"),
+            corners={"SA/PM": (math.inf, 4.75), "SA/DS": None},
+            probes=12,
+        ),
+        _exact_region("x"),
+    ]
+    return [(region.shape_key, region) for region in regions]
+
+
+@pytest.fixture(params=REGION_BACKENDS)
+def backend(request):
+    return request.param
+
+
+@pytest.fixture
+def store(backend, tmp_path):
+    if backend == "memory":
         yield MemoryRegionStore(capacity=3)
     else:
         built = SqliteRegionStore(capacity=3, db_path=tmp_path / "r.db")
         yield built
         built.close()
+
+
+@pytest.fixture
+def binding():
+    return StoreBinding(
+        make=make_region_store,
+        sqlite=SqliteRegionStore,
+        entries=golden_regions(),
+        golden=GOLDEN / "regions.jsonl",
+        schema=PARENT_SCHEMA,
+        table="regions",
+        to_dict=region_to_dict,
+    )
+
+
+class TestStoreContract(StoreContract):
+    """The shared persistence contract, over both region backends."""
+
+
+class TestSqliteStoreContract(SqliteContract):
+    """The sqlite-only contract for the region table."""
 
 
 class TestContract:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from store_contract import GOLDEN, SqliteContract, StoreBinding, StoreContract
 
 from repro.errors import ConfigurationError
 from repro.service.backends import (
@@ -12,7 +15,11 @@ from repro.service.backends import (
 )
 from repro.service.cache import DecisionCache
 from repro.service.engine import compute_decision
-from repro.service.requests import AdmissionRequest
+from repro.service.requests import (
+    AdmissionDecision,
+    AdmissionRequest,
+    decision_to_dict,
+)
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import generate_system
 
@@ -28,12 +35,92 @@ def _decision(seed: int):
     return compute_decision(request)
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def cache(request):
-    built = make_cache(request.param, capacity=8)
+#: The decision table exactly as the pre-unification backend created it.
+PARENT_SCHEMA = """
+CREATE TABLE IF NOT EXISTS decisions (
+    key TEXT PRIMARY KEY,
+    decision TEXT NOT NULL,
+    seq INTEGER NOT NULL
+);
+CREATE INDEX IF NOT EXISTS decisions_seq ON decisions (seq);
+"""
+
+
+def golden_decisions() -> list[tuple[str, AdmissionDecision]]:
+    """Fixed decisions (inf bounds, margins) for the golden snapshot."""
+    decisions = [
+        AdmissionDecision(
+            admitted=True,
+            protocol="RG",
+            rationale="RG certifies every deadline",
+            schedulable={"DS": True, "PM": True, "MPM": True, "RG": True},
+            task_bounds={"SA/PM": (10.5, 20.0), "SA/DS": (12.25, 31.0)},
+            worst_bound_ratio=1.55,
+            key="1" * 64,
+            system_name="golden-a",
+            request_id="a",
+        ),
+        AdmissionDecision(
+            admitted=False,
+            protocol=None,
+            rationale="no requested protocol certifies T2",
+            schedulable={"DS": False, "PM": False},
+            task_bounds={"SA/PM": (math.inf, 7.0), "SA/DS": (math.inf, 9.125)},
+            worst_bound_ratio=math.inf,
+            key="2" * 64,
+            system_name="golden-b",
+            request_id="b",
+        ),
+        AdmissionDecision(
+            admitted=True,
+            protocol="PM",
+            rationale="inside the verified region",
+            schedulable={"PM": True},
+            task_bounds={},
+            worst_bound_ratio=math.inf,
+            key="3" * 64,
+            margins={"SA/PM": {"T1,1": 0.25, "T1,2": 1.5}},
+        ),
+    ]
+    return [(decision.key, decision) for decision in decisions]
+
+
+@pytest.fixture(params=CACHE_BACKENDS)
+def backend(request):
+    return request.param
+
+
+@pytest.fixture
+def cache(backend):
+    built = make_cache(backend, capacity=8)
     yield built
-    if isinstance(built, SqliteDecisionCache):
-        built.close()
+    built.close()
+
+
+@pytest.fixture
+def store(cache):
+    return cache
+
+
+@pytest.fixture
+def binding():
+    return StoreBinding(
+        make=make_cache,
+        sqlite=SqliteDecisionCache,
+        entries=golden_decisions(),
+        golden=GOLDEN / "decisions.jsonl",
+        schema=PARENT_SCHEMA,
+        table="decisions",
+        to_dict=decision_to_dict,
+    )
+
+
+class TestStoreContract(StoreContract):
+    """The shared persistence contract, over both decision backends."""
+
+
+class TestSqliteStoreContract(SqliteContract):
+    """The sqlite-only contract for the decision table."""
 
 
 class TestInterfaceParity:

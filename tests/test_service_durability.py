@@ -7,8 +7,10 @@ import logging
 import sqlite3
 
 import pytest
+from store_contract import GOLDEN
 
 from repro.errors import ConfigurationError
+from repro.regions.store import MemoryRegionStore
 from repro.service.cache import DecisionCache
 from repro.service.durability import (
     FSYNC_POLICIES,
@@ -172,6 +174,35 @@ class TestSalvage:
                 expected_format="test-v1",
                 apply=lambda entry: entry["missing"],
             )
+
+    @pytest.mark.parametrize(
+        "store_cls, golden, field, bad",
+        [
+            (MemoryRegionStore, "regions.jsonl", "corners",
+             {"SA/PM": ["abc", 4.75], "SA/DS": None}),
+            (DecisionCache, "decisions.jsonl", "task_bounds",
+             {"SA/PM": ["nope"]}),
+            (MemoryRegionStore, "regions.jsonl", "corners", [[1.0, 2.0]]),
+        ],
+        ids=["corner-not-a-number", "bound-not-a-number", "corners-list"],
+    )
+    def test_malformed_record_names_file_and_line(
+        self, tmp_path, store_cls, golden, field, bad
+    ):
+        # Well-framed, right format, but a value the codec rejects: a
+        # writer bug, reported as ConfigurationError with file:line.
+        body, _framed = unframe_line(
+            (GOLDEN / golden).read_text().splitlines()[0]
+        )
+        record = json.loads(body)
+        value_field = "region" if "region" in record else "decision"
+        record[value_field][field] = bad
+        path = tmp_path / "store.jsonl"
+        path.write_text(
+            frame_line(json.dumps(record, sort_keys=True)) + "\n"
+        )
+        with pytest.raises(ConfigurationError, match=r":1: bad .* line"):
+            store_cls(capacity=4).load(path)
 
     def test_non_object_line_salvages(self, tmp_path):
         path = tmp_path / "store.jsonl"
